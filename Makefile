@@ -5,7 +5,7 @@ GO ?= go
 # drops combined coverage below this.
 COVER_MIN ?= 70
 
-.PHONY: build test vet race fuzzseed lint cover check bench benchsmoke benchdiff benchdiffsmoke relsecsmoke lockstepsmoke taillatsmoke staticsmoke clean
+.PHONY: build test vet race fuzzseed lint cover check bench benchsmoke benchdiff benchdiffsmoke relsecsmoke lockstepsmoke taillatsmoke staticsmoke simbenchsmoke clean
 
 # Packages carrying the host-perf microbenchmarks (cache access, vmm
 # translate, cpu issue loop, kernel syscall round-trip, app drive path,
@@ -47,10 +47,10 @@ cover:
 # bench layer against bit-rot without paying for real measurement) + a
 # deterministic benchmark-coverage diff against the committed perf
 # trajectory + end-to-end relative-security, tail-latency, and static-
-# verifier smokes.
-check: vet lint race fuzzseed lockstepsmoke benchsmoke benchdiffsmoke relsecsmoke taillatsmoke staticsmoke
+# verifier smokes + the benchmark module's own tests.
+check: vet lint race fuzzseed lockstepsmoke benchsmoke benchdiffsmoke relsecsmoke taillatsmoke staticsmoke simbenchsmoke
 
-# lockstepsmoke runs the bounded threaded-vs-interpreted differential
+# lockstepsmoke runs the bounded block-dispatch-vs-single-op differential
 # oracle at machine level: one scheme, a LEBench slice, one census gadget,
 # comparing per-committed-instruction state digests (DESIGN.md §10).
 lockstepsmoke:
@@ -88,6 +88,12 @@ staticsmoke:
 	@grep -q 'trace-equal under the static fences' /tmp/staticflow.out
 	@rm -f /tmp/staticflow.out
 	@echo staticsmoke: ok
+
+# simbenchsmoke runs the tests of simbench/, a nested module the root
+# `go test ./...` never builds: they compile it against the core's counters
+# and check its committed small-size digests.
+simbenchsmoke:
+	cd simbench && $(GO) test -count=1 .
 
 # bench produces BENCH_hostperf.json: micro ns/op per hot function plus an
 # end-to-end `-exp all` cells/sec and simulated-MIPS measurement.

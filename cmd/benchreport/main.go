@@ -119,8 +119,8 @@ type SimProbe struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	SimMIPS     float64 `json:"sim_mips"`
 	// ThreadedShare is the fraction of the probe's committed instructions
-	// the pre-decoded threaded engine executed (the rest ran on the
-	// interpreter: transient windows, BB-cache misses, user code).
+	// retired from the pre-decoded program (the rest were dispatched one
+	// op at a time: BB-cache misses, user code).
 	// BBHitRate is decoded-block lookups that hit, cumulative since boot.
 	ThreadedShare float64 `json:"threaded_share"`
 	BBHitRate     float64 `json:"bb_hit_rate"`

@@ -1,6 +1,5 @@
 // Package bbcache builds and caches the pre-decoded basic-block form of the
-// kernel image that the threaded execution engine (internal/cpu) dispatches
-// on. The text is decoded exactly once per image version: every maximal
+// kernel image that the core's block dispatch (internal/cpu) runs. The text is decoded exactly once per image version: every maximal
 // straight-line run of instructions (gap/control to gap/control) is decoded
 // into one dense []isa.DOp arena slice, and every *leader* — a function
 // entry, a branch/jump target, a fallthrough past a control instruction, or
@@ -15,7 +14,7 @@
 // arms. The dispatch loop follows those pointers without re-entering the
 // PC-indexed lookup (the "threaded" in threaded code). Dynamic targets
 // (ret, icall, ijmp) and targets outside the decoded text fall back to
-// BlockAt, and from there to the interpreter.
+// BlockAt, and on a miss the core decodes the single word at the PC.
 //
 // A Program is immutable once built and carries the kimage text version it
 // was decoded from; patching text bumps the version, which makes every
@@ -28,7 +27,7 @@ import "repro/internal/isa"
 
 // Block is one decoded superblock: a dense instruction stream ending at the
 // first control transfer (or at a text gap / undecodable word, in which case
-// it simply has no terminator and execution hands back to the interpreter).
+// it simply has no terminator and dispatch resumes at the next PC).
 type Block struct {
 	// Ops is the decoded stream; the final op is the terminator iff its
 	// kind IsControl. Ops aliases the run arena shared with every other
@@ -38,7 +37,7 @@ type Block struct {
 	// Succ is the pre-resolved target block of an unconditional Jmp/Call
 	// terminator; SuccTaken/SuccFall are the two arms of a Branch. Nil
 	// when the target is outside the decoded text (the dispatch loop falls
-	// back to BlockAt, then to the interpreter).
+	// back to BlockAt, then to decoding the single word at the target).
 	Succ      *Block
 	SuccTaken *Block
 	SuccFall  *Block
@@ -106,8 +105,8 @@ func Build(base uint64, flat []isa.Inst, valid []bool, entries []uint64, version
 	// slice, then hang a suffix Block off every leader inside it. A run
 	// ends at (and includes) the first control instruction, or ends early
 	// at a gap or an undecodable word — DBad ops are never emitted, so the
-	// dispatch loop cannot execute one (the interpreter faults on the word
-	// exactly as it always has).
+	// dispatch loop cannot execute one (the core's single-word decode
+	// faults on it at its PC).
 	for s := 0; s < n; {
 		if !valid[s] {
 			s++
@@ -185,8 +184,8 @@ func (p *Program) slotOf(va uint64) (int, bool) {
 }
 
 // BlockAt returns the decoded block starting at pc, or nil when pc is not a
-// decoded leader (the caller falls back to the interpreter, which makes
-// progress one instruction at a time until the next leader).
+// decoded leader (the caller decodes one instruction at a time until the
+// next leader).
 func (p *Program) BlockAt(pc uint64) *Block {
 	idx := (pc - p.base) / isa.InstBytes
 	if pc%isa.InstBytes != 0 || idx >= uint64(len(p.blocks)) {

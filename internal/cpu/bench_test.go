@@ -32,10 +32,11 @@ func benchWorld(b *testing.B) (*world, uint64) {
 	return w, entry
 }
 
-// BenchmarkIssueLoop measures the per-instruction simulation loop itself —
-// fetch, decode dispatch, memory access, timing charge — over a tight
-// load/store loop. ns/op divided by ~503 retired instructions gives the
-// per-instruction host cost.
+// BenchmarkIssueLoop measures single-op dispatch with every fetch going
+// through the CodeSource interface (no kernel-text array, no decoded
+// program) — fetch, decode into a one-op block, execute, timing charge —
+// over a tight load/store loop. ns/op divided by ~503 retired instructions
+// gives the per-instruction host cost.
 func BenchmarkIssueLoop(b *testing.B) {
 	w, pc := benchWorld(b)
 	b.ResetTimer()
@@ -51,10 +52,10 @@ func BenchmarkIssueLoop(b *testing.B) {
 }
 
 // dispatchWorld is benchWorld with the program also installed as flat
-// kernel text, optionally pre-decoded into the threaded engine. The
-// program, memory layout, and warmup are identical across the pair, so the
-// Interp/Threaded delta isolates dispatch cost: fetch+decode+switch per
-// instruction vs pre-decoded block replay.
+// kernel text, optionally pre-decoded for block dispatch. The program,
+// memory layout, and warmup are identical across the pair, so the
+// Interp/Threaded delta isolates dispatch cost: fetching and decoding every
+// instruction into a one-op block vs replaying chained pre-decoded blocks.
 func dispatchWorld(b *testing.B, threaded bool) (*world, uint64) {
 	w := newWorld()
 	a := isa.NewAsm()
@@ -82,7 +83,7 @@ func dispatchWorld(b *testing.B, threaded bool) (*world, uint64) {
 		b.Fatalf("warmup run: %+v", res)
 	}
 	if threaded && w.core.Stats.ThreadedInsts == 0 {
-		b.Fatal("threaded engine never ran")
+		b.Fatal("block dispatch never ran")
 	}
 	return w, entry
 }
@@ -101,9 +102,11 @@ func benchDispatch(b *testing.B, threaded bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
 }
 
-// BenchmarkDispatchInterp and BenchmarkDispatchThreaded run the same hot
-// loop through the two engines; compare their ns/inst to read off the
-// dispatch saving in isolation from policy, wrong-path, and kernel effects.
+// BenchmarkDispatchInterp times single-op dispatch and
+// BenchmarkDispatchThreaded block dispatch of the same hot loop; compare
+// their ns/inst to read off the block-dispatch saving in isolation from
+// policy, wrong-path, and kernel effects. The Interp name is kept so the
+// committed benchmark trajectory stays comparable by name.
 func BenchmarkDispatchInterp(b *testing.B)   { benchDispatch(b, false) }
 func BenchmarkDispatchThreaded(b *testing.B) { benchDispatch(b, true) }
 
@@ -135,8 +138,8 @@ func BenchmarkAccessL0(b *testing.B) {
 
 // transientWorld is dispatchWorld with a data-dependent branch the predictor
 // cannot learn: every iteration loads an irregular value and branches on its
-// parity, so mispredicts open transient windows throughout and the threaded
-// engine replays its pre-decoded DOps on the wrong path.
+// parity, so mispredicts open transient windows throughout and the wrong
+// path replays the pre-decoded DOps.
 func transientWorld(b *testing.B) (*world, uint64) {
 	w := newWorld()
 	for i := uint64(0); i < 128; i++ {
@@ -176,9 +179,9 @@ func transientWorld(b *testing.B) (*world, uint64) {
 	return w, entry
 }
 
-// BenchmarkTransientDecoded measures wrong-path execution under the threaded
-// engine: pre-decoded DOps replayed in transient windows (plus the committed
-// work around them). ns/transient-inst isolates the wrong-path engine cost.
+// BenchmarkTransientDecoded measures wrong-path execution with a decoded
+// program attached: pre-decoded DOps replayed in transient windows (plus the
+// committed work around them). ns/transient-inst isolates the wrong-path engine cost.
 func BenchmarkTransientDecoded(b *testing.B) {
 	w, pc := transientWorld(b)
 	b.ResetTimer()

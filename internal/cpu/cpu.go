@@ -198,12 +198,12 @@ type Stats struct {
 	KernelEntries   uint64
 	Faults          uint64
 
-	// Threaded-engine counters (host-side only: they describe which engine
-	// executed, never the simulated machine, so they are excluded from the
-	// lockstep digest). ThreadedInsts counts committed instructions the
-	// decoded-block dispatcher retired; BBLookups/BBHits measure the
-	// PC-indexed block cache (chained transitions bypass it and count as
-	// BBChains).
+	// Dispatch counters (host-side only: they describe how instructions
+	// were dispatched, never the simulated machine, so they are excluded
+	// from the lockstep digest). ThreadedInsts counts committed
+	// instructions retired from the decoded program (single-op dispatch is
+	// not counted); BBLookups/BBHits measure the PC-indexed block cache
+	// (chained transitions bypass it and count as BBChains).
 	ThreadedInsts uint64
 	BBLookups     uint64
 	BBHits        uint64
@@ -282,21 +282,26 @@ type Core struct {
 	// field keeps the per-transmitter Access literal from escaping to the
 	// heap on every shadowed load/multiply.
 	acc Access
-	// tbuf and tstack are runTransient's store buffer and shadow call
-	// stack, hoisted here so a squash does not allocate.
+	// tbuf, tstack and tone are runTransient's store buffer, shadow call
+	// stack and single-op block, hoisted here so a squash does not allocate.
 	tbuf   []transientStore
 	tstack []uint64
+	tone   oneOpBlock
 
-	// progSrc supplies the pre-decoded program for the threaded engine
+	// progSrc supplies the pre-decoded program block dispatch walks
 	// (SetThreadedSource); prog caches it for the duration of one Run. Nil
-	// keeps the core purely interpretive.
+	// runs every instruction through single-op dispatch.
 	progSrc func() *bbcache.Program
 	prog    *bbcache.Program
+	// one backs the committed path's single-op blocks (decodeOne).
+	// runTransient uses tone instead, so a squash inside a single-op
+	// dispatch cannot overwrite the op still executing.
+	one oneOpBlock
 
 	// stepHook, when set, is invoked with the PC of every committed-path
 	// instruction after its architectural and timing effects land — the
 	// lockstep differential oracle's tap point. Test-only: the hook fires
-	// identically from both engines.
+	// identically under block and single-op dispatch.
 	stepHook func(pc uint64)
 
 	// L0 line-lookaside micro-caches (l0.go): committed-path host-side
@@ -394,30 +399,6 @@ func (c *Core) ExitKernel() {
 	}
 }
 
-// reg reads a register, honouring the hardwired zero. Regs[R0] is
-// identically zero — every write site guards Rd != R0 and nothing else
-// writes slot 0 — so the hot threaded engine reads c.Regs[r] directly;
-// this helper keeps the explicit special case for the interpreter.
-func (c *Core) reg(r isa.Reg) uint64 {
-	if r == isa.R0 {
-		return 0
-	}
-	return c.Regs[r]
-}
-
-func (c *Core) setReg(r isa.Reg, v uint64) {
-	if r != isa.R0 {
-		c.Regs[r] = v
-	}
-}
-
-func (c *Core) ready(r isa.Reg) float64 {
-	if r == isa.R0 {
-		return 0
-	}
-	return c.readyAt[r]
-}
-
 func (c *Core) tainted(r isa.Reg, at float64) bool {
 	return r != isa.R0 && c.taintUntil[r] > at
 }
@@ -465,36 +446,20 @@ func (c *Core) fetchTimingLine(pc, line uint64) {
 
 // Run executes starting at entry until a terminating Halt, a return from the
 // entry frame, a fault, or maxInsts committed instructions. The caller sets
-// up c.Regs first; R1 at exit is the conventional return value.
-//
-// Committed-path kernel instructions dispatch through the threaded engine
-// (runThreaded) whenever a decoded program is attached; everything else —
-// user code, decoded-cache misses, undecodable words, budget cutoffs —
-// executes here one instruction at a time. Both engines are exact timing
-// mirrors, so the handoff can happen at any instruction boundary.
+// up c.Regs first; R1 at exit is the conventional return value. Every
+// committed instruction dispatches through runThreaded: as part of a decoded
+// block when the core is in kernel mode with a program attached, as a
+// single-op block otherwise.
 func (c *Core) Run(entry uint64, maxInsts int) RunResult {
 	start := c.now
 	var res RunResult
 	baseDepth := len(c.callStack)
-	pc := entry
 	c.traceEnter(entry)
-	fetchSlot := 1.0 / float64(c.Cfg.Width)
 	c.prog = nil
 	if c.progSrc != nil {
 		c.prog = c.progSrc()
 	}
-	for {
-		if c.prog != nil && c.kernelMode {
-			var done bool
-			if pc, done = c.runThreaded(pc, maxInsts, fetchSlot, &res, baseDepth); done {
-				break
-			}
-		}
-		var done bool
-		if pc, done = c.stepInterp(pc, maxInsts, fetchSlot, &res, baseDepth); done {
-			break
-		}
-	}
+	c.runThreaded(entry, maxInsts, &res, baseDepth)
 	// Unwind any frames left by a truncated/faulted run.
 	if len(c.callStack) > baseDepth {
 		c.callStack = c.callStack[:baseDepth]
@@ -506,291 +471,6 @@ func (c *Core) Run(entry uint64, maxInsts int) RunResult {
 	}
 	res.Cycles = c.now - start
 	return res
-}
-
-// stepInterp executes exactly one instruction the slow way: fetch, decode,
-// dispatch. It returns the next PC and whether the run ended. This is the
-// reference semantics the threaded engine mirrors; keep the two in sync
-// (the lockstep oracle enforces it).
-func (c *Core) stepInterp(pc uint64, maxInsts int, fetchSlot float64, res *RunResult, baseDepth int) (uint64, bool) {
-	if res.Insts >= uint64(maxInsts) {
-		res.Truncated = true
-		return pc, true
-	}
-	inst := c.fetch(pc)
-	if inst == nil || (!c.kernelMode && memsim.IsKernel(pc)) {
-		// Unmapped, or user-mode fetch of kernel text (SMEP).
-		res.Fault = true
-		res.FaultPC = pc
-		c.Stats.Faults++
-		return pc, true
-	}
-	c.fetchTiming(pc)
-	c.now += fetchSlot
-	res.Insts++
-	c.Stats.Insts++
-
-	next := pc + isa.InstBytes
-	stop := false
-	switch inst.Op {
-	case isa.OpNop:
-		c.commit(c.now)
-
-	case isa.OpALU:
-		startT := max(c.now, c.ready(inst.Rs1), c.ready(inst.Rs2))
-		lat := 1.0
-		if inst.AK == isa.AMul {
-			lat = float64(c.Cfg.MulLatency)
-			// A multiply is a Port-channel transmitter: under STT-like
-			// policies a tainted speculative multiply must wait.
-			if startT < c.specUntil {
-				c.acc = Access{
-					PC: pc, IsLoad: false, Ctx: c.ctx, Kernel: c.kernelMode,
-					AddrTainted: c.tainted(inst.Rs1, startT) || c.tainted(inst.Rs2, startT),
-				}
-				switch c.Policy.OnTransmit(&c.acc) {
-				case Block:
-					c.Stats.Fences++
-					c.Stats.FenceDelay += c.specUntil - startT
-					startT = c.specUntil
-					c.now += c.Cfg.FencePenalty
-				case BlockUntaint:
-					c.Stats.Fences++
-					if u := max(c.taintUntil[inst.Rs1], c.taintUntil[inst.Rs2]); u > startT {
-						c.Stats.FenceDelay += u - startT
-						startT = u
-					}
-				}
-			}
-		}
-		v := isa.EvalALU(inst.AK, c.reg(inst.Rs1), c.reg(inst.Rs2), inst.Imm)
-		done := startT + lat
-		c.setReg(inst.Rd, v)
-		if inst.Rd != isa.R0 {
-			c.readyAt[inst.Rd] = done
-			// Taint propagates through arithmetic; immediates clear it.
-			switch inst.AK {
-			case isa.AMovImm:
-				c.taintUntil[inst.Rd] = 0
-			default:
-				t1, t2 := c.taintUntil[inst.Rs1], c.taintUntil[inst.Rs2]
-				if inst.Rs1 == isa.R0 {
-					t1 = 0
-				}
-				if inst.Rs2 == isa.R0 {
-					t2 = 0
-				}
-				c.taintUntil[inst.Rd] = max(t1, t2)
-			}
-		}
-		c.commit(done)
-
-	case isa.OpLoad:
-		c.Stats.Loads++
-		startT := max(c.now, c.ready(inst.Rs1))
-		va := c.reg(inst.Rs1) + uint64(inst.Imm)
-		pa, okA := c.Mem.Resolve(va, inst.Size)
-		if !okA {
-			res.Fault = true
-			res.FaultPC, res.FaultVA = pc, va
-			c.Stats.Faults++
-			stop = true
-			break
-		}
-		if startT < c.specUntil {
-			c.acc = Access{
-				PC: pc, VA: va, IsLoad: true, Ctx: c.ctx, Kernel: c.kernelMode,
-				L1Hit:       c.H.L1D.Lookup(pa),
-				AddrTainted: c.tainted(inst.Rs1, startT),
-			}
-			switch c.Policy.OnTransmit(&c.acc) {
-			case Block:
-				c.Stats.Fences++
-				c.Stats.FenceDelay += c.specUntil - startT
-				startT = c.specUntil // wait for the visibility point
-				c.now += c.Cfg.FencePenalty
-			case BlockUntaint:
-				// STT integrates the delay into wakeup: no re-issue
-				// cost, only the taint-expiry wait.
-				c.Stats.Fences++
-				if u := c.taintUntil[inst.Rs1]; u > startT {
-					c.Stats.FenceDelay += u - startT
-					startT = u
-				}
-			}
-		}
-		lat := c.l0Data(pa)
-		v := c.Mem.LoadPA(pa, inst.Size)
-		done := startT + float64(lat)
-		c.setReg(inst.Rd, v)
-		if inst.Rd != isa.R0 {
-			c.readyAt[inst.Rd] = done
-			if startT < c.specUntil {
-				// Value obtained speculatively: tainted until the
-				// shadow resolves.
-				c.taintUntil[inst.Rd] = c.specUntil
-			} else {
-				c.taintUntil[inst.Rd] = 0
-			}
-		}
-		c.commit(done)
-
-	case isa.OpStore:
-		c.Stats.Stores++
-		startT := max(c.now, c.ready(inst.Rs1), c.ready(inst.Rs2))
-		va := c.reg(inst.Rs1) + uint64(inst.Imm)
-		pa, okA := c.Mem.Resolve(va, inst.Size)
-		if !okA {
-			res.Fault = true
-			res.FaultPC, res.FaultVA = pc, va
-			c.Stats.Faults++
-			stop = true
-			break
-		}
-		c.Mem.StorePA(pa, inst.Size, c.reg(inst.Rs2))
-		c.l0Data(pa)
-		c.commit(startT + 1)
-
-	case isa.OpBranch:
-		c.Stats.Branches++
-		startT := max(c.now+float64(c.Cfg.ExecDelay), c.ready(inst.Rs1), c.ready(inst.Rs2))
-		resolve := startT + 1
-		taken := isa.EvalCond(inst.CK, c.reg(inst.Rs1), c.reg(inst.Rs2))
-		predicted := c.BP.Cond.Predict(pc)
-		c.BP.Cond.Update(pc, taken)
-		if c.specUntil < resolve {
-			c.specUntil = resolve
-		}
-		if predicted != taken {
-			c.Stats.Mispredicts++
-			wrong := next
-			if predicted {
-				wrong = inst.Target
-			}
-			c.squashWindow(pc, wrong, resolve)
-		} else if c.Fault != nil && c.Fault.SpuriousSquash(pc) {
-			// Injected fault: a correctly predicted branch is squashed
-			// anyway. The frontend transiently runs the untaken
-			// direction before the redirect — wrong-path execution
-			// where a healthy pipeline has none — and pays the full
-			// redirect penalty. Architectural state must survive (the
-			// checker asserts it).
-			wrong := inst.Target
-			if taken {
-				wrong = next
-			}
-			c.squashWindow(pc, wrong, resolve)
-		}
-		if taken {
-			next = inst.Target
-		}
-		c.commit(resolve)
-
-	case isa.OpJmp:
-		c.commit(c.now)
-		next = inst.Target
-
-	case isa.OpCall:
-		c.callStack = append(c.callStack, next)
-		c.BP.RAS.Push(next)
-		c.commit(c.now)
-		c.traceEnter(inst.Target)
-		next = inst.Target
-
-	case isa.OpICall, isa.OpIJmp:
-		c.Stats.Branches++
-		startT := max(c.now+float64(c.Cfg.ExecDelay), c.ready(inst.Rs1))
-		resolve := startT + 1
-		actual := c.reg(inst.Rs1)
-		if c.specUntil < resolve {
-			c.specUntil = resolve
-		}
-		if p := c.Policy.IndirectPenalty(); p > 0 && c.kernelMode {
-			// Retpoline: the indirect branch is converted into a
-			// serialized construct — extra cycles, no target
-			// speculation.
-			c.now = resolve + float64(p)
-		} else {
-			predicted, okP := c.BP.BTB.Predict(pc)
-			if okP && predicted != actual {
-				// Speculative control-flow hijack window (Spectre v2).
-				c.Stats.Mispredicts++
-				c.squashWindow(pc, predicted, resolve)
-			} else if !okP {
-				// BTB miss: the frontend stalls until resolution.
-				c.now = resolve
-			}
-		}
-		c.BP.BTB.Update(pc, actual)
-		if inst.Op == isa.OpICall {
-			c.callStack = append(c.callStack, next)
-			c.BP.RAS.Push(next)
-			c.traceEnter(actual)
-		}
-		c.commit(resolve)
-		next = actual
-
-	case isa.OpRet:
-		c.Stats.Branches++
-		if len(c.callStack) == baseDepth {
-			// Returning from the entry frame ends the run. This return
-			// has no matching push inside the run, so its prediction
-			// comes from whatever the RAS holds — stale entries from an
-			// earlier context included. That is the Retbleed / Spectre
-			// RSB window of Figure 4.2: the victim "returns from
-			// Function 1" and speculatively lands wherever the attacker
-			// arranged.
-			resolve := c.now + float64(c.Cfg.ExecDelay+c.H.L1Lat)
-			if c.specUntil < resolve {
-				c.specUntil = resolve
-			}
-			if predicted, okP := c.BP.RAS.Pop(); okP && predicted != 0 {
-				c.Stats.Mispredicts++
-				c.squashWindow(pc, predicted, resolve)
-			}
-			c.commit(resolve)
-			res.Ret = c.reg(isa.R1)
-			stop = true
-			break
-		}
-		actual := c.callStack[len(c.callStack)-1]
-		c.callStack = c.callStack[:len(c.callStack)-1]
-		// The architectural target comes from the in-memory stack; give
-		// it an L1 load latency past the execute stage.
-		resolve := c.now + float64(c.Cfg.ExecDelay+c.H.L1Lat)
-		if c.specUntil < resolve {
-			c.specUntil = resolve
-		}
-		predicted, okP := c.BP.RAS.Pop()
-		if okP && predicted != actual {
-			// Return target hijack window (Spectre RSB / Retbleed).
-			c.Stats.Mispredicts++
-			c.squashWindow(pc, predicted, resolve)
-		} else if !okP {
-			c.now = resolve
-		}
-		c.commit(resolve)
-		next = actual
-
-	case isa.OpFence:
-		// lfence: nothing younger may issue before all older work
-		// resolves.
-		c.now = max(c.now, c.specUntil, c.lastCommit)
-		c.commit(c.now)
-
-	case isa.OpHalt:
-		c.commit(c.now)
-		res.Ret = c.reg(isa.R1)
-		stop = true
-
-	default:
-		res.Fault = true
-		stop = true
-	}
-	if c.stepHook != nil {
-		c.stepHook(pc)
-	}
-	return next, stop
 }
 
 func (c *Core) traceEnter(va uint64) {

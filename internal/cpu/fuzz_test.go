@@ -8,12 +8,12 @@ import (
 )
 
 // FuzzBlockDecode feeds arbitrary bytes through the instruction synthesizer
-// below and runs the resulting program on a threaded/interpreted world pair
-// under the lockstep oracle. The input space deliberately covers what the
-// block builder must survive: undecodable opcode values, text gaps, jumps
-// into the middle of decoded runs, self-loops, indirect branches through
-// garbage registers, and faulting memory operands. Whatever the program
-// does, both engines must do it identically.
+// below and runs the resulting program on a block-dispatch/single-op world
+// pair under the lockstep oracle. The input space deliberately covers what
+// the block builder must survive: undecodable opcode values, text gaps,
+// jumps into the middle of decoded runs, self-loops, indirect branches
+// through garbage registers, and faulting memory operands. Whatever the
+// program does, both dispatch modes must do it identically.
 
 // fuzzProgram decodes 8 bytes per instruction into a bounded synthetic
 // program with a validity mask. Opcode and ALU-kind selectors intentionally

@@ -16,8 +16,8 @@
 // line. There is no partial invalidation to get wrong: any content change
 // in a set invalidates every outstanding entry for that set at once.
 //
-// The L0 is consulted from the committed path only — stepInterp and
-// runThreaded loads/stores, and fetchTimingLine instruction fetches.
+// The L0 is consulted from the committed path only — runThreaded
+// loads/stores, and fetchTimingLine instruction fetches.
 // Transient (wrong-path) accesses must take the full hierarchy: their LRU
 // deferral (updateLRU=false) is a different state transition, and routing
 // them around the Policy consult in specLoad would open a side channel the
@@ -53,7 +53,7 @@ func (c *Core) SetL0Enabled(on bool) {
 // l0DataFast is the committed-path D-side lookaside probe: on a valid entry
 // it re-applies the L1-MRU hit transition and returns the L1 hit latency;
 // on a miss it returns -1 and the caller takes l0DataSlow. The split keeps
-// the probe within the inlining budget so the hot engines pay no call on
+// the probe within the inlining budget so the dispatch loop pays no call on
 // the (overwhelmingly common) hit.
 func (c *Core) l0DataFast(pa uint64) int {
 	line := pa >> c.l0dShift
@@ -79,16 +79,6 @@ func (c *Core) l0DataSlow(pa uint64) int {
 		c.l0d[line&l0Mask] = l0Entry{line: line + 1, gen: c.H.L1D.GenAt(pa), slot: slot}
 	}
 	return lat
-}
-
-// l0Data is the two-level access the interpreter path uses: exactly
-// `lat, _ := c.H.AccessData(pa, true)` with the MRU re-hit case
-// short-circuited. The threaded engine calls the Fast/Slow pair directly.
-func (c *Core) l0Data(pa uint64) int {
-	if lat := c.l0DataFast(pa); lat >= 0 {
-		return lat
-	}
-	return c.l0DataSlow(pa)
 }
 
 // l0Inst is the committed-path I-side access used by fetchTimingLine: a hit

@@ -1,19 +1,24 @@
-// Lockstep differential oracle: run the same program on a threaded-engine
-// core and a pure-interpreter core and compare the full architectural and
-// timing state after every committed instruction. The threaded engine's
-// correctness contract is bit-exactness — not "same final answer" but the
-// same simulated machine at every instruction boundary — and this is the
-// instrument that checks it. Used by tests only; a core with no attached
-// StepTrace pays one nil check per instruction.
+// Lockstep differential oracle: run the same program on a core with its
+// decoded program attached (chained, batched block dispatch) and on a core
+// without one (every instruction dispatched as a one-op block), and compare
+// the full architectural and timing state after every committed
+// instruction. Both sides share the one committed-path executor; what the
+// oracle checks is everything block dispatch adds — successor chaining,
+// per-block counter batching and its reconciliation on a mid-block fault,
+// budget trimming, and the decoded program's agreement with the text it was
+// built from. The contract is bit-exactness — not "same final answer" but
+// the same simulated machine at every instruction boundary. Used by tests
+// only; a core with no attached StepTrace pays one nil check per
+// instruction.
 //
 // What the digest covers: everything that describes the simulated machine —
 // registers, the scoreboard (per-register ready times and taint horizons),
 // the clock, the speculation window, the commit front, call depth, and the
-// engine-invariant counters. What it deliberately excludes: Stats.Insts
-// (the threaded engine batches it per block, so it is transiently ahead of
-// the interpreter mid-block and reconciled at block exit) and the
-// host-side engine counters (ThreadedInsts, BBLookups, BBHits, BBChains),
-// which describe which engine executed, never the machine.
+// dispatch-invariant counters. What it deliberately excludes: Stats.Insts
+// (block dispatch batches it per block, so it is transiently ahead of
+// single-op dispatch mid-block and reconciled at block exit) and the
+// host-side dispatch counters (ThreadedInsts, BBLookups, BBHits, BBChains),
+// which describe how instructions were dispatched, never the machine.
 package cpu
 
 import (
@@ -42,7 +47,8 @@ func (t *StepTrace) Reset() {
 
 // AttachStepTrace installs t as the core's per-commit recorder; nil
 // detaches. The hook fires after each committed-path instruction's
-// architectural and timing effects land, identically from both engines.
+// architectural and timing effects land, identically under block and
+// single-op dispatch.
 func (c *Core) AttachStepTrace(t *StepTrace) {
 	if t == nil {
 		c.stepHook = nil
@@ -59,10 +65,10 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// stateDigest hashes the engine-invariant simulated-machine state,
+// stateDigest hashes the dispatch-invariant simulated-machine state,
 // word-wise FNV-1a. Float fields hash by bit pattern: the equivalence
-// contract is bit-exact, so 0.1+0.2 and 0.3 must collide only if the
-// engines really produced the same bits.
+// contract is bit-exact, so 0.1+0.2 and 0.3 must collide only if both
+// dispatch modes really produced the same bits.
 func (c *Core) stateDigest() uint64 {
 	h := uint64(fnvOffset)
 	mix := func(w uint64) {
@@ -115,7 +121,7 @@ func CompareStepTraces(a, b *StepTrace) (int, bool) {
 // Divergence pinpoints the first disagreement between two lockstep traces.
 type Divergence struct {
 	Index int    // committed-instruction index of the first disagreement
-	PC    uint64 // fast-engine PC at that index (ref PC if fast ended first)
+	PC    uint64 // fast (block-dispatch) PC at that index (ref PC if fast ended first)
 	Op    string // decoded instruction at PC
 	// FastPC/RefPC and FastDigest/RefDigest are the raw per-trace values;
 	// a zero PC with a zero digest means that trace had already ended.
@@ -126,16 +132,16 @@ type Divergence struct {
 func (d *Divergence) String() string {
 	switch {
 	case d.FastPC == d.RefPC:
-		return fmt.Sprintf("step %d: state digest diverged at pc %#x (%s): threaded %#x, interpreted %#x",
+		return fmt.Sprintf("step %d: state digest diverged at pc %#x (%s): block dispatch %#x, single-op dispatch %#x",
 			d.Index, d.PC, d.Op, d.FastDigest, d.RefDigest)
 	case d.FastPC == 0 && d.FastDigest == 0:
-		return fmt.Sprintf("step %d: threaded trace ended; interpreter continued at pc %#x (%s)",
+		return fmt.Sprintf("step %d: block-dispatch trace ended; single-op dispatch continued at pc %#x (%s)",
 			d.Index, d.RefPC, d.Op)
 	case d.RefPC == 0 && d.RefDigest == 0:
-		return fmt.Sprintf("step %d: interpreted trace ended; threaded engine continued at pc %#x (%s)",
+		return fmt.Sprintf("step %d: single-op trace ended; block dispatch continued at pc %#x (%s)",
 			d.Index, d.FastPC, d.Op)
 	default:
-		return fmt.Sprintf("step %d: control flow diverged: threaded at pc %#x, interpreter at pc %#x (%s)",
+		return fmt.Sprintf("step %d: control flow diverged: block dispatch at pc %#x, single-op dispatch at pc %#x (%s)",
 			d.Index, d.FastPC, d.RefPC, d.Op)
 	}
 }
@@ -182,13 +188,13 @@ func (r *LockstepReport) String() string {
 	if r.Div != nil {
 		return "lockstep: " + r.Div.String()
 	}
-	return fmt.Sprintf("lockstep: traces agree (%d steps) but results diverged: threaded %+v, interpreted %+v",
+	return fmt.Sprintf("lockstep: traces agree (%d steps) but results diverged: block dispatch %+v, single-op dispatch %+v",
 		r.Steps, r.FastRes, r.RefRes)
 }
 
-// LockstepRun executes the same entry on two cores — fast with its threaded
-// source attached, ref purely interpretive — and compares per-instruction
-// state. The caller must have prepared both cores identically (same image,
+// LockstepRun executes the same entry on two cores — fast with its decoded
+// program attached, ref with none (single-op dispatch) — and compares
+// per-instruction state. The caller must have prepared both cores identically (same image,
 // same memory contents, same predictor state, same registers); LockstepRun
 // only drives and compares. Traces are attached for the duration and
 // detached before returning.

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bbcache"
@@ -37,10 +38,10 @@ func flatten(mc *mapCode) (uint64, []isa.Inst, []bool) {
 }
 
 // lockstepPair builds two independent but identical worlds from the same
-// construction function, attaches the decoded program to the first (the
-// threaded engine), and leaves the second purely interpretive. Placement
-// gaps make every placed region start a leader, so no explicit entry list
-// is needed.
+// construction function, attaches the decoded program to the first (block
+// dispatch), and leaves the second without one (single-op dispatch).
+// Placement gaps make every placed region start a leader, so no explicit
+// entry list is needed.
 func lockstepPair(t *testing.T, build func(w *world)) (fast, ref *world) {
 	t.Helper()
 	fast, ref = newWorld(), newWorld()
@@ -82,10 +83,10 @@ func TestLockstepStraightLine(t *testing.T) {
 		t.Errorf("steps = %d, want 5", rep.Steps)
 	}
 	if fast.core.Stats.ThreadedInsts == 0 {
-		t.Error("threaded engine never ran: the comparison is vacuous")
+		t.Error("block dispatch never ran: the comparison is vacuous")
 	}
 	if ref.core.Stats.ThreadedInsts != 0 {
-		t.Error("reference core ran the threaded engine")
+		t.Error("reference core dispatched decoded blocks")
 	}
 }
 
@@ -119,7 +120,7 @@ func TestLockstepLoopsCallsMemory(t *testing.T) {
 	rep := LockstepRun(fast.core, ref.core, entry, 1000)
 	requireOK(t, rep)
 	if fast.core.Stats.ThreadedInsts == 0 {
-		t.Error("threaded engine never ran")
+		t.Error("block dispatch never ran")
 	}
 }
 
@@ -137,9 +138,9 @@ func TestLockstepMispredictAndTransientPath(t *testing.T) {
 	}
 	fast, ref := lockstepPair(t, build)
 	// Train not-taken in lockstep, then mispredict: the squash window runs
-	// the wrong path on the interpreter in BOTH cores (the threaded engine
-	// never executes transient instructions), and its timing feeds back
-	// into committed state through specUntil and the caches.
+	// the wrong path in both cores — over decoded blocks in fast, one
+	// decoded op at a time in ref — and its timing feeds back into
+	// committed state through specUntil and the caches.
 	for i := 0; i < 4; i++ {
 		fast.core.Regs[isa.R2] = 0
 		ref.core.Regs[isa.R2] = 0
@@ -153,7 +154,7 @@ func TestLockstepMispredictAndTransientPath(t *testing.T) {
 		t.Error("no mispredict: the transient path was never exercised")
 	}
 	if fast.core.Stats.TransientInsts != ref.core.Stats.TransientInsts {
-		t.Errorf("transient insts: threaded %d, interpreted %d",
+		t.Errorf("transient insts: block dispatch %d, single-op dispatch %d",
 			fast.core.Stats.TransientInsts, ref.core.Stats.TransientInsts)
 	}
 }
@@ -202,21 +203,105 @@ func TestLockstepDataFault(t *testing.T) {
 	}
 }
 
+// Budgets on, one past, and two past a block boundary of a 3-op loop body:
+// the off-boundary ones make block dispatch cut its last block short, and
+// every case must stop on exactly the budget.
 func TestLockstepTruncation(t *testing.T) {
+	for _, budget := range []int{49, 50, 51} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			fast, ref := lockstepPair(t, func(w *world) {
+				a := isa.NewAsm()
+				a.Label("spin")
+				a.AddImm(isa.R1, isa.R1, 1)
+				a.AddImm(isa.R2, isa.R2, 2)
+				a.Jmp("spin")
+				w.code.place(entry, a.MustBuild())
+			})
+			rep := LockstepRun(fast.core, ref.core, entry, budget)
+			requireOK(t, rep)
+			if !rep.FastRes.Truncated {
+				t.Error("not truncated")
+			}
+			if rep.Steps != budget {
+				t.Errorf("steps = %d, want exactly the budget", rep.Steps)
+			}
+		})
+	}
+}
+
+// A word outside the ISA is a fetch fault at its PC: it retires nothing,
+// counts one fault, and both dispatch modes stop on it identically.
+func TestLockstepUndecodableWordFaults(t *testing.T) {
 	fast, ref := lockstepPair(t, func(w *world) {
 		a := isa.NewAsm()
-		a.Label("spin")
+		a.MovImm(isa.R1, 1)
 		a.AddImm(isa.R1, isa.R1, 1)
-		a.Jmp("spin")
-		w.code.place(entry, a.MustBuild())
+		a.Nop()
+		a.Halt()
+		insts := a.MustBuild()
+		insts[2].Op = isa.Op(200) // patch in an op outside the ISA
+		w.code.place(entry, insts)
 	})
-	rep := LockstepRun(fast.core, ref.core, entry, 50)
+	rep := LockstepRun(fast.core, ref.core, entry, 100)
 	requireOK(t, rep)
-	if !rep.FastRes.Truncated {
-		t.Error("not truncated")
+	bad := entry + 2*isa.InstBytes
+	if !rep.FastRes.Fault || rep.FastRes.FaultPC != bad {
+		t.Errorf("result %+v, want a fault at pc %#x", rep.FastRes, bad)
 	}
-	if rep.Steps != 50 {
-		t.Errorf("steps = %d, want exactly the budget", rep.Steps)
+	if rep.FastRes.Insts != 2 {
+		t.Errorf("insts = %d, want 2 (the undecodable word retires nothing)", rep.FastRes.Insts)
+	}
+	for _, w := range []*world{fast, ref} {
+		if w.core.Stats.Faults != 1 {
+			t.Errorf("Stats.Faults = %d, want 1", w.core.Stats.Faults)
+		}
+	}
+}
+
+// User-mode code must never dispatch kernel blocks, even at a PC the
+// attached program covers: modelled on the PassiveSpectreV2 poison step, a
+// user icall into kernel text trains the BTB, then faults (SMEP) at the
+// kernel PC before any kernel instruction retires.
+func TestLockstepUserModeNeverDispatchesKernelBlocks(t *testing.T) {
+	fast, ref := lockstepPair(t, func(w *world) {
+		k := isa.NewAsm()
+		k.MovImm(isa.R1, 99)
+		k.Halt()
+		w.code.place(entry, k.MustBuild())
+	})
+	if fast.core.progSrc().BlockAt(entry) == nil {
+		t.Fatal("no decoded block at the kernel target: the case is vacuous")
+	}
+	const userPC = uint64(0x40_0000)
+	icallPC := userPC + isa.InstBytes
+	target := entry
+	for _, w := range []*world{fast, ref} {
+		u := isa.NewAsm()
+		u.MovImm(isa.R2, int64(target))
+		u.ICall(isa.R2)
+		u.Halt()
+		w.code.place(userPC, u.MustBuild())
+		w.core.kernelMode = false
+	}
+	rep := LockstepRun(fast.core, ref.core, userPC, 16)
+	requireOK(t, rep)
+	for _, w := range []*world{fast, ref} {
+		if tgt, ok := w.core.BP.BTB.Predict(icallPC); !ok || tgt != entry {
+			t.Errorf("BTB at %#x = (%#x, %v), want the kernel target %#x", icallPC, tgt, ok, entry)
+		}
+		if w.core.Stats.Faults != 1 {
+			t.Errorf("Stats.Faults = %d, want 1", w.core.Stats.Faults)
+		}
+	}
+	if !rep.FastRes.Fault || rep.FastRes.FaultPC != entry {
+		t.Errorf("result %+v, want an SMEP fetch fault at %#x", rep.FastRes, entry)
+	}
+	if fast.core.Stats.ThreadedInsts != 0 {
+		t.Errorf("user mode retired %d instructions from decoded kernel blocks", fast.core.Stats.ThreadedInsts)
+	}
+	if rep.Steps != 2 || rep.FastRes.Insts != 2 {
+		t.Errorf("steps = %d, insts = %d: want only the two user instructions retired",
+			rep.Steps, rep.FastRes.Insts)
 	}
 }
 

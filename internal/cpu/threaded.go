@@ -1,55 +1,82 @@
-// Threaded execution engine: the fast path of Run. Committed-path kernel
-// code dispatches over the pre-decoded basic-block stream built by
-// internal/bbcache instead of fetching and decoding one instruction at a
-// time. Every op case below mirrors the corresponding interpreter case in
-// stepInterp float-operation-for-float-operation — same max() chains, same
-// policy consults, same cache accesses in the same order — so the two
-// engines produce bit-identical simulated state. The lockstep oracle
-// (LockstepRun) and FuzzBlockDecode enforce that equivalence continuously.
+// The committed-path executor. Run dispatches every instruction through
+// runThreaded's loop over decoded isa.DOp blocks. In kernel mode with a
+// decoded program attached, the loop walks internal/bbcache's pre-decoded
+// superblocks: it retires each block's instruction count in one batch and
+// follows build-time successor chains without re-entering the PC-indexed
+// lookup. Everywhere else — user mode, no program attached, a kernel PC no
+// decoded block starts at — decodeOne fetches the single word at the PC and
+// decodes it into a one-op block that the same loop runs. Both dispatch
+// modes share every op case, so the committed path has one semantics; the
+// lockstep oracle (LockstepRun) and FuzzBlockDecode compare chained, batched
+// block dispatch against single-op dispatch of the same code.
 //
-// Fallback rule: the threaded engine only ever runs the *committed* path in
-// kernel mode. Wrong-path execution inside squash windows stays on the
-// interpreter (runTransient, reached through squashWindow exactly as
-// before), as does user code, any PC without a decoded leader block, and
-// any undecodable word. Falling back is always safe: the interpreter makes
-// progress one instruction at a time and the dispatch loop re-attaches at
-// the next decoded leader.
+// Wrong-path execution inside squash windows belongs to runTransient
+// (reached through squashWindow), which walks the same decoded blocks
+// read-only and calls decodeOne on its own block misses.
 package cpu
 
 import (
 	"repro/internal/bbcache"
-	"repro/internal/memsim"
 	"repro/internal/isa"
+	"repro/internal/memsim"
 )
 
 // SetThreadedSource installs the decoded-program source consulted at each
 // Run entry (kimage.Image.Decoded: rebuilds if the text version moved, else
-// returns the cached program). A nil source — the default — keeps the core
-// purely interpretive; tests use that for differential runs.
+// returns the cached program). A nil source — the default — runs every
+// instruction through single-op dispatch; tests use that as the lockstep
+// reference.
 func (c *Core) SetThreadedSource(src func() *bbcache.Program) { c.progSrc = src }
 
-// Scoreboard-invariant exploited throughout the dispatch loop: readyAt[R0]
-// and taintUntil[R0] are never written (every writeback site guards
-// Rd != R0), so they are identically zero. Reading them through the plain
-// array instead of the R0-checking ready()/tainted() helpers is therefore
-// value-identical — max(x, 0) == x for the non-negative times the
-// scoreboard holds — and it lets every ALU form share one general
-// writeback tail: the *Z decode specializations compute the same floats
-// through the same operations, just with provably-zero Rs2 terms.
+// oneOpBlock is the storage behind a decodeOne result: a single decoded
+// instruction presented as a block with no chained successors.
+type oneOpBlock struct {
+	op  [1]isa.DOp
+	blk bbcache.Block
+}
 
-// runThreaded executes decoded blocks starting at pc until the run ends
-// (returns 0, true), or until it must hand the PC back to the interpreter
-// (returns pc, false): BB-cache miss, undecodable word, or a block that
-// would cross the instruction budget (the interpreter owns truncation so
-// the cutoff lands on exactly the same instruction as before).
-func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunResult, baseDepth int) (uint64, bool) {
-	prog := c.prog
-	c.Stats.BBLookups++
-	blk := prog.BlockAt(pc)
-	if blk == nil {
-		return pc, false
+// decodeOne fetches the word at pc and decodes it into a one-op block held
+// in dst. It returns nil when the fetch faults: an unmapped PC, a user-mode
+// fetch of kernel text (SMEP), or a word outside the ISA, which the core
+// treats as the fetch fault it is rather than executing.
+func (c *Core) decodeOne(pc uint64, dst *oneOpBlock) *bbcache.Block {
+	inst := c.fetch(pc)
+	if inst == nil || (!c.kernelMode && memsim.IsKernel(pc)) {
+		return nil
 	}
-	c.Stats.BBHits++
+	if dst.op[0] = isa.DecodeInst(inst, pc); dst.op[0].Kind == isa.DBad {
+		return nil
+	}
+	// The successor links stay nil: dispatch after a one-op block always
+	// looks its next PC up.
+	dst.blk.Ops = dst.op[:]
+	dst.blk.FallPC = pc + isa.InstBytes
+	return &dst.blk
+}
+
+// Scoreboard-invariant exploited throughout the dispatch loop: Regs[R0],
+// readyAt[R0] and taintUntil[R0] are never written (every writeback site
+// guards Rd != R0, and callers marshal arguments only into R1 and up), so
+// they are identically zero. Reading them through the plain arrays instead
+// of an R0-checking helper is therefore value-identical — max(x, 0) == x
+// for the non-negative times the scoreboard holds — and it lets every ALU
+// form share one general writeback tail: the *Z decode specializations
+// compute the same floats through the same operations, just with
+// provably-zero Rs2 terms.
+
+// runThreaded executes committed-path instructions starting at pc until the
+// run ends: a terminating Halt, a return from the entry frame, a fault, or
+// maxInsts committed instructions. A block that would cross the budget is
+// cut to the instructions left, so truncation lands on exactly the budget.
+func (c *Core) runThreaded(pc uint64, maxInsts int, res *RunResult, baseDepth int) {
+	// User mode never dispatches kernel blocks: its fetches go through
+	// decodeOne, which enforces SMEP. The mode cannot flip inside one Run.
+	prog := c.prog
+	if !c.kernelMode {
+		prog = nil
+	}
+	budget := uint64(maxInsts)
+	fetchSlot := 1.0 / float64(c.Cfg.Width)
 	execDelay := float64(c.Cfg.ExecDelay)
 	// polUnsafe short-circuits the speculative-transmitter consult when the
 	// policy is the UNSAFE baseline: AllowAll.OnTransmit is stateless and
@@ -59,17 +86,41 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 	// consult — Perspective fills view caches inside OnTransmit.
 	_, polUnsafe := c.Policy.(AllowAll)
 
+	var blk *bbcache.Block
 	for {
+		if res.Insts >= budget {
+			res.Truncated = true
+			return
+		}
+		if blk == nil {
+			if prog != nil {
+				c.Stats.BBLookups++
+				if blk = prog.BlockAt(pc); blk != nil {
+					c.Stats.BBHits++
+				}
+			}
+			if blk == nil {
+				if blk = c.decodeOne(pc, &c.one); blk == nil {
+					res.Fault = true
+					res.FaultPC = pc
+					c.Stats.Faults++
+					return
+				}
+			}
+		}
 		ops := blk.Ops
-		if res.Insts+uint64(len(ops)) > uint64(maxInsts) {
-			return ops[0].PC, false
+		if left := budget - res.Insts; uint64(len(ops)) > left {
+			ops = ops[:left]
 		}
 		// Counter batching: the whole block retires or the exit path
 		// reconciles, so the per-op loop touches no Stats fields for the
-		// common kinds.
+		// common kinds. ThreadedInsts counts only instructions retired from
+		// the decoded program.
 		res.Insts += uint64(len(ops))
 		c.Stats.Insts += uint64(len(ops))
-		c.Stats.ThreadedInsts += uint64(len(ops))
+		if blk != &c.one.blk {
+			c.Stats.ThreadedInsts += uint64(len(ops))
+		}
 		// Block entry: the previous fetch line is dynamic state, so the
 		// first op always takes the full line check; interior ops use the
 		// decode-time crossing flag.
@@ -154,6 +205,8 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 				if r := c.readyAt[op.Rs2]; r > startT {
 					startT = r
 				}
+				// A multiply is a Port-channel transmitter: under STT-like
+				// policies a tainted speculative multiply must wait.
 				if startT < c.specUntil && !polUnsafe {
 					c.acc = Access{
 						PC: op.PC, IsLoad: false, Ctx: c.ctx, Kernel: c.kernelMode,
@@ -222,6 +275,8 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 						startT = c.specUntil // wait for the visibility point
 						c.now += c.Cfg.FencePenalty
 					case BlockUntaint:
+						// STT integrates the delay into wakeup: no re-issue
+						// cost, only the taint-expiry wait.
 						c.Stats.Fences++
 						if u := c.taintUntil[op.Rs1]; u > startT {
 							c.Stats.FenceDelay += u - startT
@@ -238,6 +293,8 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 				if op.Rd != isa.R0 {
 					c.Regs[op.Rd] = v
 					c.readyAt[op.Rd] = done
+					// A value obtained speculatively is tainted until the
+					// shadow resolves.
 					if startT < c.specUntil {
 						c.taintUntil[op.Rd] = c.specUntil
 					} else {
@@ -302,6 +359,12 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 					}
 					c.squashWindow(op.PC, wrong, resolve)
 				} else if c.Fault != nil && c.Fault.SpuriousSquash(op.PC) {
+					// Injected fault: a correctly predicted branch is
+					// squashed anyway. The frontend transiently runs the
+					// untaken direction before the redirect — wrong-path
+					// execution where a healthy pipeline has none — and
+					// pays the full redirect penalty. Architectural state
+					// must survive (the checker asserts it).
 					wrong := op.Target
 					if taken {
 						wrong = blk.FallPC
@@ -339,13 +402,18 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 					c.specUntil = resolve
 				}
 				if p := c.Policy.IndirectPenalty(); p > 0 && c.kernelMode {
+					// Retpoline: the indirect branch is converted into a
+					// serialized construct — extra cycles, no target
+					// speculation.
 					c.now = resolve + float64(p)
 				} else {
 					predicted, okP := c.BP.BTB.Predict(op.PC)
 					if okP && predicted != actual {
+						// Speculative control-flow hijack window (Spectre v2).
 						c.Stats.Mispredicts++
 						c.squashWindow(op.PC, predicted, resolve)
 					} else if !okP {
+						// BTB miss: the frontend stalls until resolution.
 						c.now = resolve
 					}
 				}
@@ -361,8 +429,13 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 			case isa.DRet:
 				c.Stats.Branches++
 				if len(c.callStack) == baseDepth {
-					// Entry-frame return: ends the run (see the interpreter
-					// case for the Retbleed window this opens).
+					// Returning from the entry frame ends the run. This
+					// return has no matching push inside the run, so its
+					// prediction comes from whatever the RAS holds — stale
+					// entries from an earlier context included. That is the
+					// Retbleed / Spectre RSB window of Figure 4.2: the
+					// victim "returns from Function 1" and speculatively
+					// lands wherever the attacker arranged.
 					resolve := c.now + float64(c.Cfg.ExecDelay+c.H.L1Lat)
 					if c.specUntil < resolve {
 						c.specUntil = resolve
@@ -378,12 +451,15 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 				}
 				actual := c.callStack[len(c.callStack)-1]
 				c.callStack = c.callStack[:len(c.callStack)-1]
+				// The architectural target comes from the in-memory stack;
+				// give it an L1 load latency past the execute stage.
 				resolve := c.now + float64(c.Cfg.ExecDelay+c.H.L1Lat)
 				if c.specUntil < resolve {
 					c.specUntil = resolve
 				}
 				predicted, okP := c.BP.RAS.Pop()
 				if okP && predicted != actual {
+					// Return target hijack window (Spectre RSB / Retbleed).
 					c.Stats.Mispredicts++
 					c.squashWindow(op.PC, predicted, resolve)
 				} else if !okP {
@@ -393,6 +469,8 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 				npc, haveNext = actual, true
 
 			case isa.DFence:
+				// lfence: nothing younger may issue before all older work
+				// resolves.
 				c.now = max(c.now, c.specUntil, c.lastCommit)
 				c.commit(c.now)
 
@@ -404,8 +482,8 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 
 			if alu {
 				// Shared single-cycle ALU tail: writeback, readiness, taint
-				// propagation, commit — the interpreter's OpALU epilogue with
-				// the R0 reads folded away by the scoreboard invariant above.
+				// propagation through arithmetic, commit — with the R0 reads
+				// folded away by the scoreboard invariant above.
 				startT := c.now
 				if r := c.readyAt[op.Rs1]; r > startT {
 					startT = r
@@ -429,24 +507,20 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 				c.stepHook(op.PC)
 			}
 			if stop {
-				return 0, true
+				return
 			}
 		}
 
 		if !haveNext {
-			// Straight-line run ended at a text gap or an undecodable
-			// word: the interpreter decides what happens at the next PC.
-			return ops[len(ops)-1].PC + isa.InstBytes, false
+			// Straight-line run ended at a text gap, an undecodable word, a
+			// one-op block, or the budget: dispatch resumes at the next PC.
+			pc = ops[len(ops)-1].PC + isa.InstBytes
+			blk = nil
+			continue
 		}
-		if nb == nil {
-			c.Stats.BBLookups++
-			if nb = prog.BlockAt(npc); nb == nil {
-				return npc, false
-			}
-			c.Stats.BBHits++
-		} else {
+		if nb != nil {
 			c.Stats.BBChains++
 		}
-		blk = nb
+		pc, blk = npc, nb
 	}
 }

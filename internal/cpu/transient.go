@@ -3,11 +3,8 @@ package cpu
 import (
 	"repro/internal/bbcache"
 	"repro/internal/isa"
-	"repro/internal/memsim"
 	"repro/internal/obs"
 )
-
-func memsimIsKernel(va uint64) bool { return memsim.IsKernel(va) }
 
 // runTransientChecked wraps runTransient with the squash-restoration
 // invariant: when a checker is installed, the architectural register file is
@@ -42,14 +39,13 @@ func (c *Core) runTransientChecked(pc uint64, budget int, shadowEnd float64, brP
 // but not updated (wrong-path predictor updates are a second-order effect
 // the model omits).
 //
-// Instruction sourcing is two-tier, like the committed path: when a decoded
-// program is attached and the core is in kernel mode, the wrong path walks
+// Instruction sourcing mirrors the committed path: when a decoded program is
+// attached and the core is in kernel mode, the wrong path walks
 // internal/bbcache's pre-decoded blocks read-only (decoding is pure, so a
-// DOp stream is observably identical to re-decoding each fetch — the
-// decoded-transient differential suite pins it); user mode, block misses,
-// and undecodable words fall back to fetch+DecodeInst one instruction at a
-// time. Policies, observation hooks, and squash semantics are exactly the
-// interpretive path's: only the decode work is hoisted.
+// DOp stream is observably identical to decoding each fetch); user mode and
+// block misses go through decodeOne one instruction at a time, and its fetch
+// faults — unmapped, SMEP, undecodable word — end the wrong path as a quiet
+// squash.
 func (c *Core) runTransient(pc uint64, budget int, shadowEnd float64) {
 	if budget <= 0 {
 		return
@@ -89,30 +85,21 @@ func (c *Core) runTransient(pc uint64, budget int, shadowEnd float64) {
 	_, polUnsafe := c.Policy.(AllowAll)
 	var blk *bbcache.Block
 	var bi int
-	var dec isa.DOp
 
 	for n := 0; n < budget; n++ {
-		var op *isa.DOp
-		if blk != nil && bi < len(blk.Ops) && blk.Ops[bi].PC == pc {
-			op = &blk.Ops[bi]
-			bi++
-		} else {
-			blk = nil
+		if blk == nil || bi == len(blk.Ops) || blk.Ops[bi].PC != pc {
+			blk, bi = nil, 0
 			if useProg {
-				if b := c.prog.BlockAt(pc); b != nil {
-					blk, bi = b, 1
-					op = &blk.Ops[0]
-				}
+				blk = c.prog.BlockAt(pc)
 			}
-			if op == nil {
-				inst := c.fetch(pc)
-				if inst == nil || (!c.kernelMode && memsimIsKernel(pc)) {
-					return // transient fetch fault (or SMEP): quiet squash
+			if blk == nil {
+				if blk = c.decodeOne(pc, &c.tone); blk == nil {
+					return // transient fetch fault: quiet squash
 				}
-				dec = isa.DecodeInst(inst, pc)
-				op = &dec
 			}
 		}
+		op := &blk.Ops[bi]
+		bi++
 		c.Stats.TransientInsts++
 		next := pc + isa.InstBytes
 
@@ -245,11 +232,6 @@ func (c *Core) runTransient(pc uint64, budget int, shadowEnd float64) {
 			return
 
 		case isa.DHalt:
-			return
-
-		default:
-			// DBad: an undecodable word, exactly where the interpreter
-			// would fault. Quiet squash.
 			return
 		}
 		pc = next

@@ -12,13 +12,13 @@ import (
 
 // This file is the machine-level arm of the lockstep differential oracle
 // (cpu.LockstepRun is the core-level arm): boot two machines identical in
-// every respect except that one has the threaded engine detached, drive
-// both through the same workload, and compare the full per-instruction
-// state stream plus the kernel state digest. A divergence report names the
+// every respect except that one has its decoded program detached (single-op
+// dispatch), drive both through the same workload, and compare the full
+// per-instruction state stream plus the kernel state digest. A divergence report names the
 // first differing committed instruction and its decoded form.
 
-// lockstepKernels is a threaded/interpreted machine pair with step traces
-// attached.
+// lockstepKernels is a block-dispatch/single-op machine pair with step
+// traces attached.
 type lockstepKernels struct {
 	fast, ref *kernel.Kernel
 	ft, rt    cpu.StepTrace
@@ -35,7 +35,7 @@ func newLockstepKernels(t *testing.T, h *Harness, kind schemes.Kind) *lockstepKe
 		return k
 	}
 	lk := &lockstepKernels{fast: boot(), ref: boot()}
-	lk.ref.Core.SetThreadedSource(nil) // the reference interprets everything
+	lk.ref.Core.SetThreadedSource(nil) // the reference dispatches one op at a time
 	lk.fast.Core.AttachStepTrace(&lk.ft)
 	lk.ref.Core.AttachStepTrace(&lk.rt)
 	return lk
@@ -61,26 +61,26 @@ func (lk *lockstepKernels) check(t *testing.T, label string) {
 }
 
 // finish runs the end-of-drive invariants: the comparison must not have
-// been vacuous (the fast machine really used the threaded engine, the
+// been vacuous (the fast machine really dispatched decoded blocks, the
 // reference really did not), the kernel state digests must agree, and the
 // two simulated clocks must be bit-identical.
 func (lk *lockstepKernels) finish(t *testing.T, label string) {
 	t.Helper()
 	lk.check(t, label+": trailing steps")
 	if lk.fast.Core.Stats.ThreadedInsts == 0 {
-		t.Errorf("%s: threaded engine never ran — comparison vacuous", label)
+		t.Errorf("%s: block dispatch never ran — comparison vacuous", label)
 	}
 	if lk.ref.Core.Stats.ThreadedInsts != 0 {
-		t.Errorf("%s: reference machine ran the threaded engine", label)
+		t.Errorf("%s: reference machine dispatched decoded blocks", label)
 	}
 	if fd, rd := lk.fast.StateDigest(), lk.ref.StateDigest(); fd != rd {
-		t.Errorf("%s: kernel state digests diverged: threaded %#x, interpreted %#x", label, fd, rd)
+		t.Errorf("%s: kernel state digests diverged: block %#x, single-op %#x", label, fd, rd)
 	}
 	if fn, rn := lk.fast.Core.Now(), lk.ref.Core.Now(); math.Float64bits(fn) != math.Float64bits(rn) {
-		t.Errorf("%s: clocks diverged: threaded %v, interpreted %v", label, fn, rn)
+		t.Errorf("%s: clocks diverged: block %v, single-op %v", label, fn, rn)
 	}
 	if fi, ri := lk.fast.Core.Stats.Insts, lk.ref.Core.Stats.Insts; fi != ri {
-		t.Errorf("%s: instruction counts diverged: threaded %d, interpreted %d", label, fi, ri)
+		t.Errorf("%s: instruction counts diverged: block %d, single-op %d", label, fi, ri)
 	}
 }
 
@@ -91,15 +91,15 @@ func (lk *lockstepKernels) driveLEBench(t *testing.T, tests []lebench.Test, iter
 	for _, tst := range tests {
 		fres, err := lebench.RunTest(lk.fast, tst, iters)
 		if err != nil {
-			t.Fatalf("threaded %s: %v", tst.Name, err)
+			t.Fatalf("block-dispatch %s: %v", tst.Name, err)
 		}
 		rres, err := lebench.RunTest(lk.ref, tst, iters)
 		if err != nil {
-			t.Fatalf("interpreted %s: %v", tst.Name, err)
+			t.Fatalf("single-op %s: %v", tst.Name, err)
 		}
 		lk.check(t, "lebench/"+tst.Name)
 		if math.Float64bits(fres.CyclesPerIter) != math.Float64bits(rres.CyclesPerIter) {
-			t.Errorf("lebench/%s: cycles/iter diverged: threaded %v, interpreted %v",
+			t.Errorf("lebench/%s: cycles/iter diverged: block %v, single-op %v",
 				tst.Name, fres.CyclesPerIter, rres.CyclesPerIter)
 		}
 	}
@@ -117,16 +117,16 @@ func (lk *lockstepKernels) driveCensus(t *testing.T, h *Harness, n int) {
 	const secret = 0x5a
 	fr, err := relsecDrive(lk.fast, secret, targets, relsecCellCap)
 	if err != nil {
-		t.Fatalf("threaded census drive: %v", err)
+		t.Fatalf("block-dispatch census drive: %v", err)
 	}
 	rr, err := relsecDrive(lk.ref, secret, targets, relsecCellCap)
 	if err != nil {
-		t.Fatalf("interpreted census drive: %v", err)
+		t.Fatalf("single-op census drive: %v", err)
 	}
 	lk.check(t, "census")
 	for i := range fr.marks {
 		if fr.marks[i] != rr.marks[i] {
-			t.Errorf("census gadget %s: observation marks diverged: threaded %v, interpreted %v",
+			t.Errorf("census gadget %s: observation marks diverged: block %v, single-op %v",
 				targets[i].Name, fr.marks[i], rr.marks[i])
 		}
 	}
@@ -144,8 +144,8 @@ func TestLockstepSmoke(t *testing.T) {
 }
 
 // TestLockstepLEBenchSuite runs the full LEBench suite under each judged
-// scheme class: the unprotected baseline (which also exercises the threaded
-// engine's policy fast path), a blocking policy, and Perspective (whose
+// scheme class: the unprotected baseline (which also exercises the dispatch
+// loop's policy fast path), a blocking policy, and Perspective (whose
 // OnTransmit mutates view-cache state, so the consult order itself is under
 // test).
 func TestLockstepLEBenchSuite(t *testing.T) {
@@ -162,9 +162,9 @@ func TestLockstepLEBenchSuite(t *testing.T) {
 
 // TestLockstepCensusSample drives a census-gadget sample — transient
 // windows, planted secrets, flush+reload probes — under the same scheme
-// classes. Wrong-path execution stays on the interpreter in both machines
-// by design; what this checks is that the committed-path stream around
-// every squash window is identical.
+// classes. Wrong-path execution walks decoded blocks in the fast machine
+// and single decoded ops in the reference; what this checks is that the
+// committed-path stream around every squash window is identical.
 func TestLockstepCensusSample(t *testing.T) {
 	h := relsecHarness()
 	for _, kind := range []schemes.Kind{schemes.Unsafe, schemes.Fence, schemes.Perspective} {

@@ -8,10 +8,10 @@ import (
 	"repro/internal/schemes"
 )
 
-// The threaded engine must not be a new side channel: for every judged
-// scheme and both members of a secret pair, the observation trace recorded
-// while the machine runs on the threaded engine must Equal the trace from a
-// purely-interpreted machine. This is a different claim from the lockstep
+// Block dispatch must not be a new side channel: for every judged scheme and
+// both members of a secret pair, the observation trace recorded while the
+// machine dispatches decoded blocks must Equal the trace from a machine
+// dispatching every instruction as a one-op block. This is a different claim from the lockstep
 // oracle's (identical committed state): here the compared object is exactly
 // what the relative-security judgment is computed from — the attacker-visible
 // event stream — across the full driveable gadget census.
@@ -32,10 +32,10 @@ func relsecEngineDrive(t *testing.T, h *Harness, kind schemes.Kind, secret byte,
 		t.Fatalf("%v drive (threaded=%v): %v", kind, threaded, err)
 	}
 	if threaded && k.Core.Stats.ThreadedInsts == 0 {
-		t.Fatalf("%v: threaded engine never ran — comparison vacuous", kind)
+		t.Fatalf("%v: block dispatch never ran — comparison vacuous", kind)
 	}
 	if !threaded && k.Core.Stats.ThreadedInsts != 0 {
-		t.Fatalf("%v: reference machine ran the threaded engine", kind)
+		t.Fatalf("%v: reference machine dispatched decoded blocks", kind)
 	}
 	return run
 }
@@ -52,12 +52,12 @@ func TestRelSecThreadedTraceEquivalence(t *testing.T) {
 				fast := relsecEngineDrive(t, h, kind, secret, true, targets)
 				ref := relsecEngineDrive(t, h, kind, secret, false, targets)
 				if fast.frBase != ref.frBase {
-					t.Fatalf("secret %#x: probe bases diverged: threaded %#x, interpreted %#x",
+					t.Fatalf("secret %#x: probe bases diverged: block %#x, single-op %#x",
 						secret, fast.frBase, ref.frBase)
 				}
 				for i := range fast.marks {
 					if fast.marks[i] != ref.marks[i] {
-						t.Errorf("secret %#x gadget %s: obs traces diverged: threaded %+v, interpreted %+v",
+						t.Errorf("secret %#x gadget %s: obs traces diverged: block %+v, single-op %+v",
 							secret, targets[i].Name, fast.marks[i], ref.marks[i])
 					}
 				}
@@ -65,7 +65,7 @@ func TestRelSecThreadedTraceEquivalence(t *testing.T) {
 				// the divergent one, name the first differing event.
 				if !obs.Equal(fast.rec, ref.rec) {
 					if idx, ea, eb, ok := obs.FirstDivergence(fast.rec, ref.rec); ok {
-						t.Errorf("secret %#x: last segment diverged at event %d: threaded %+v, interpreted %+v",
+						t.Errorf("secret %#x: last segment diverged at event %d: block %+v, single-op %+v",
 							secret, idx, ea, eb)
 					}
 				}

@@ -1,14 +1,13 @@
-// Decoded instruction form: the pre-extracted representation the threaded
-// execution engine dispatches on (internal/bbcache builds streams of these,
-// internal/cpu executes them). Decoding happens once per kernel image, not
-// once per simulated fetch, so the hot loop does no bit-fiddling: the ALU
-// sub-kind is folded into the dispatch opcode, immediates are pre-coerced,
-// and instruction-cache line crossings are resolved at decode time.
+// Decoded instruction form: the representation internal/cpu executes, on
+// the committed and the wrong path alike (internal/bbcache builds streams
+// of these; the core decodes single words on block misses). For kernel
+// text, decoding happens once per image, not once per simulated fetch, so
+// the hot loop does no bit-fiddling: the ALU sub-kind is folded into the
+// dispatch opcode, immediates are pre-coerced, and instruction-cache line
+// crossings are resolved at decode time.
 //
-// The decoded form is a pure re-encoding of Inst: executing a DOp must be
-// observably identical — cycle for cycle, fill for fill — to interpreting
-// the Inst it was decoded from. The lockstep oracle (cpu.LockstepRun) and
-// FuzzBlockDecode enforce this.
+// The decoded form is a pure re-encoding of Inst (Reencode inverts it):
+// DecodeInst is where an Inst's meaning to the core is decided.
 
 package isa
 
@@ -21,10 +20,9 @@ import "fmt"
 type DKind uint8
 
 const (
-	// DBad marks an undecodable word (an Op outside the ISA). The block
-	// builder terminates decoding at it and never emits it into a block:
-	// the executor hands the PC back to the interpreter, which faults on
-	// it exactly as it always has.
+	// DBad marks an undecodable word (an Op outside the ISA). It is never
+	// executed: the block builder terminates decoding at it and never emits
+	// it into a block, and the core treats it as a fetch fault at its PC.
 	DBad DKind = iota
 	// DNop does nothing.
 	DNop
@@ -111,9 +109,11 @@ type DOp struct {
 
 // DecodeInst pre-decodes one linked instruction at pc. It never fails:
 // words outside the ISA decode to DBad, which the block builder treats as
-// undecodable text.
-func DecodeInst(in *Inst, pc uint64) DOp {
-	d := DOp{
+// undecodable text. The named result is filled in place: returning a local
+// instead costs a copy whose wide loads stall on the narrow field stores,
+// and the core's single-op dispatch decodes every instruction it runs.
+func DecodeInst(in *Inst, pc uint64) (d DOp) {
+	d = DOp{
 		PC:     pc,
 		Imm:    in.Imm,
 		Target: in.Target,
@@ -239,7 +239,7 @@ func (d *DOp) Reencode() Inst {
 	case DHalt:
 		in.Op = OpHalt
 	default:
-		in.Op = Op(255) // DBad: an op the interpreter faults on
+		in.Op = Op(255) // DBad: an op outside the ISA
 	}
 	return in
 }

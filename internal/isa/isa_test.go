@@ -194,6 +194,33 @@ func TestStringCoversAllOps(t *testing.T) {
 	}
 }
 
+// The core executes only decoded ops, so DecodeInst must lose nothing: every
+// word inside the ISA decodes to a non-DBad op that re-encodes to itself,
+// and every word outside it decodes to DBad.
+func TestDecodeRoundTrip(t *testing.T) {
+	for op := OpNop; op <= OpHalt+2; op++ {
+		for ak := AMov; ak <= AMul+1; ak++ {
+			for _, rs2 := range []Reg{R0, R7} {
+				in := Inst{Op: op, AK: ak, CK: CULT, Rd: R3, Rs1: R5, Rs2: rs2,
+					Size: 8, Imm: -24, Target: 0xffff_ffff_8100_0040}
+				d := DecodeInst(&in, 0x1000)
+				if op > OpHalt {
+					if d.Kind != DBad {
+						t.Errorf("op %d outside the ISA decoded to kind %d", op, d.Kind)
+					}
+					continue
+				}
+				if d.Kind == DBad || d.PC != 0x1000 {
+					t.Fatalf("%v decoded to kind %d at pc %#x", in.String(), d.Kind, d.PC)
+				}
+				if got := d.Reencode(); got != in {
+					t.Errorf("round trip of %+v gave %+v", in, got)
+				}
+			}
+		}
+	}
+}
+
 func TestBuildIsIdempotent(t *testing.T) {
 	a := NewAsm()
 	a.MovImm(R1, 1)

@@ -8,14 +8,14 @@ import (
 	"repro/internal/kimage"
 )
 
-// FuzzBBInvalidate attacks the threaded engine's invalidation protocol: two
-// kernels boot over the SAME image — one threaded, one purely interpretive —
-// and the input script interleaves live text mutation (PatchInst /
-// SetInstValid on syscall-path functions) with syscalls driven identically
-// on both machines. The interpreter reads the patched words directly, so if
-// the threaded engine ever dispatches a stale decoded block after a version
-// bump, the two machines' results, instruction counts, clocks, or state
-// digests split. Each iteration undoes its patches, so corpus entries
+// FuzzBBInvalidate attacks the decoded program's invalidation protocol: two
+// kernels boot over the SAME image — one with block dispatch, one with
+// single-op dispatch — and the input script interleaves live text mutation
+// (PatchInst / SetInstValid on syscall-path functions) with syscalls driven
+// identically on both machines. Single-op dispatch fetches and decodes the
+// patched words directly, so if block dispatch ever runs a stale decoded
+// block after a version bump, the two machines' results, instruction
+// counts, clocks, or state digests split. Each iteration undoes its patches, so corpus entries
 // replay independently of each other.
 
 // fuzzInvImg is the dedicated mutable image (never testImg: other tests in
@@ -137,15 +137,15 @@ func FuzzBBInvalidate(f *testing.F) {
 			rf, ef := kf.Syscall(pf, nr, args...)
 			ri, ei := ki.Syscall(pi, nr, args...)
 			if rf != ri || (ef == nil) != (ei == nil) {
-				t.Fatalf("step %d sys %d: threaded (%d, %v) vs interpreted (%d, %v)",
+				t.Fatalf("step %d sys %d: block (%d, %v) vs single-op (%d, %v)",
 					step, nr, rf, ef, ri, ei)
 			}
 			if fi, ii := kf.Core.Stats.Insts, ki.Core.Stats.Insts; fi != ii {
-				t.Fatalf("step %d sys %d: inst counts split: threaded %d, interpreted %d",
+				t.Fatalf("step %d sys %d: inst counts split: block %d, single-op %d",
 					step, nr, fi, ii)
 			}
 			if fn, in := kf.Core.Now(), ki.Core.Now(); math.Float64bits(fn) != math.Float64bits(in) {
-				t.Fatalf("step %d sys %d: clocks split: threaded %v, interpreted %v",
+				t.Fatalf("step %d sys %d: clocks split: block %v, single-op %v",
 					step, nr, fn, in)
 			}
 		}
@@ -188,17 +188,17 @@ func FuzzBBInvalidate(f *testing.F) {
 		}
 
 		if fd, id := kf.StateDigest(), ki.StateDigest(); fd != id {
-			t.Fatalf("state digests split: threaded %#x, interpreted %#x", fd, id)
+			t.Fatalf("state digests split: block %#x, single-op %#x", fd, id)
 		}
 		if kf.Stats.HandlerFaults != ki.Stats.HandlerFaults {
-			t.Fatalf("handler faults split: threaded %d, interpreted %d",
+			t.Fatalf("handler faults split: block %d, single-op %d",
 				kf.Stats.HandlerFaults, ki.Stats.HandlerFaults)
 		}
 		if didSys && kf.Core.Stats.ThreadedInsts == 0 {
-			t.Error("threaded engine never ran — differential is vacuous")
+			t.Error("block dispatch never ran — differential is vacuous")
 		}
 		if ki.Core.Stats.ThreadedInsts != 0 {
-			t.Error("interpreted kernel ran the threaded engine")
+			t.Error("single-op kernel dispatched decoded blocks")
 		}
 	})
 }

@@ -163,9 +163,9 @@ func (k *Kernel) wireHardware() {
 	h := cache.NewDefaultHierarchy()
 	k.Core = cpu.New(cpu.DefaultConfig(), &codeSource{k: k}, k.Mem, h, predict.New())
 	k.Core.SetKernelText(k.Img.Text())
-	// Attach the pre-decoded program source: the threaded engine re-checks
-	// the image's text version at every Run entry, so text patches
-	// invalidate cleanly (see kimage/decoded.go).
+	// Attach the pre-decoded program source: block dispatch re-checks the
+	// image's text version at every Run entry, so text patches invalidate
+	// cleanly (see kimage/decoded.go).
 	k.Core.SetThreadedSource(k.Img.Decoded)
 	k.Trace = ktrace.New(k.Img, func() sec.Ctx { return k.Core.Ctx() })
 	k.Core.Tracer = k.Trace

@@ -25,7 +25,7 @@ func (img *Image) TextVersion() uint64 { return img.version }
 
 // PatchInst replaces the instruction word at va and bumps the text version.
 // The new instruction must be fully linked (no unresolved Sym); the slot
-// becomes valid. Cores fetch through aliased arrays, so the interpreter
+// becomes valid. Cores fetch through aliased arrays, so single-op dispatch
 // sees the patch immediately; the decoded program sees it through the
 // version bump.
 func (img *Image) PatchInst(va uint64, in isa.Inst) error {

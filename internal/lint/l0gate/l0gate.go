@@ -8,8 +8,8 @@
 //     API) are called only from the L0 accessors. CommitHit mutates cache
 //     state on the caller's claim that a generation-checked entry is valid;
 //     a call from anywhere else has no such proof.
-//  2. The L0 accessors themselves are called only from the committed-path
-//     engines: stepInterp, runThreaded, and fetchTimingLine. A transient
+//  2. The L0 accessors themselves are called only from the committed path:
+//     runThreaded (loads and stores) and fetchTimingLine. A transient
 //     path reaching the L0 would route a wrong-path access around the
 //     DSV/ISV defenses — exactly the bypass specgate exists to prevent —
 //     and would also apply the wrong LRU transition (transient fills defer
@@ -42,20 +42,17 @@ var Analyzer = &analysis.Analyzer{
 // L0Accessors are the blessed micro-cache accessors in internal/cpu/l0.go,
 // as "pkg.Type.Func". Only they may call the cache re-hit API.
 var L0Accessors = map[string]bool{
-	"cpu.Core.l0Data":        true,
 	"cpu.Core.l0DataFast":    true,
 	"cpu.Core.l0DataSlow":    true,
 	"cpu.Core.l0Inst":        true,
 	"cpu.Core.l0InstInstall": true,
 }
 
-// CommittedCallers are the committed-path engines allowed to consult the L0
-// (plus l0Data, which dispatches to its own Fast/Slow halves).
+// CommittedCallers are the committed-path functions allowed to consult the
+// L0.
 var CommittedCallers = map[string]bool{
-	"cpu.Core.stepInterp":      true,
 	"cpu.Core.runThreaded":     true,
 	"cpu.Core.fetchTimingLine": true,
-	"cpu.Core.l0Data":          true,
 }
 
 // stateOwners may touch the Core.l0d/l0i/l0off state directly: the accessors

@@ -25,7 +25,7 @@ func (c *Core) SetL0Enabled(on bool) {
 	c.l0i = [4]l0Entry{}
 }
 
-// The five blessed accessors: state and re-hit API used freely.
+// The four blessed accessors: state and re-hit API used freely.
 
 func (c *Core) l0DataFast(pa uint64) int {
 	e := &c.l0d[pa%4]
@@ -47,13 +47,6 @@ func (c *Core) l0DataSlow(pa uint64) int {
 	return 2
 }
 
-func (c *Core) l0Data(pa uint64) int {
-	if lat := c.l0DataFast(pa); lat >= 0 {
-		return lat
-	}
-	return c.l0DataSlow(pa)
-}
-
 func (c *Core) l0Inst(la uint64) bool {
 	e := &c.l0i[la%4]
 	if e.line == la+1 && e.gen == c.L1I.GenAt(la) {
@@ -69,9 +62,7 @@ func (c *Core) l0InstInstall(la uint64) {
 	}
 }
 
-// The committed-path engines may consult the accessors.
-
-func (c *Core) stepInterp(pa uint64) int { return c.l0Data(pa) }
+// The committed path may consult the accessors.
 
 func (c *Core) runThreaded(pa uint64) int {
 	lat := c.l0DataFast(pa)
@@ -95,7 +86,7 @@ func (c *Core) specLoad(pa uint64) int {
 	if e := c.l0d[pa%4]; e.line == pa+1 { // want `L0 micro-cache state l0d touched in cpu\.Core\.specLoad`
 		return 2
 	}
-	return c.l0Data(pa) // want `L0 accessor l0Data called in cpu\.Core\.specLoad outside the committed path`
+	return c.l0DataSlow(pa) // want `L0 accessor l0DataSlow called in cpu\.Core\.specLoad outside the committed path`
 }
 
 // prefetcher models new code re-hitting slots without a generation proof.

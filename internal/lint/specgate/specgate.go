@@ -12,6 +12,10 @@
 //	(*cpu.Core).Run      — the architectural execute loop; every shadowed
 //	                       transmitter is routed through Policy.OnTransmit
 //	                       before its data read.
+//	(*cpu.Core).runThreaded
+//	                     — Run's committed-path executor: the same
+//	                       obligations, and it never runs inside a
+//	                       transient window.
 //	(*cpu.Core).specLoad — the single transient-path data accessor; it
 //	                       performs the policy check, the wrong-path cache
 //	                       fill, and the security-checker report in order.
@@ -52,14 +56,11 @@ var readAccessors = map[string]map[string]bool{
 // deliberately tiny: everything else must route through these.
 var Blessed = map[string]bool{
 	"cpu.Core.Run": true,
-	// stepInterp is Run's extracted per-instruction body (the interpretive
-	// engine); Run now only alternates it with the threaded engine.
-	"cpu.Core.stepInterp": true,
-	// runThreaded is the decoded-stream engine's committed-path executor.
-	// Its loads run the same DSV/ISV policy consult as stepInterp's and it
-	// never executes inside a transient window (the dispatcher falls back
-	// to the interpreter there), so its direct read carries the identical
-	// check obligations as Run's — enforced by the lockstep oracle.
+	// runThreaded is Run's committed-path executor, extracted from it. Its
+	// loads run the DSV/ISV policy consult before the read, and it never
+	// executes inside a transient window (squash windows run on
+	// runTransient, whose loads go through specLoad), so its direct read
+	// carries exactly Run's check obligations.
 	"cpu.Core.runThreaded": true,
 	"cpu.Core.specLoad":    true,
 	// The obs hook reads the just-allowed load's value for the trace's

@@ -18,14 +18,8 @@ func (c *Core) specLoad(pa uint64) uint64 {
 	return c.Mem.Phys.Read64(pa)
 }
 
-// stepInterp is blessed (Run's extracted interpretive engine).
-func (c *Core) stepInterp(pa uint64) uint64 {
-	return c.Mem.LoadPA(pa, 8)
-}
-
-// runThreaded is blessed (the decoded-stream engine's committed-path
-// executor, policy-checked like stepInterp and interpreter-backed inside
-// transient windows).
+// runThreaded is blessed (Run's committed-path executor, policy-checked
+// and never inside a transient window).
 func (c *Core) runThreaded(pa uint64) uint64 {
 	return c.Mem.LoadPA(pa, 8)
 }
