@@ -12,7 +12,8 @@
 //     whose cells/sec series is comparable across PRs.
 //  3. sim_mips: a syscall-storm probe on one machine, reporting simulated
 //     (committed) instructions per host second, plus a `pprof -top -cum`
-//     hot-functions table from a CPU profile of the same probe.
+//     hot-functions table from a CPU profile of the same storm, looped on
+//     one machine that is built and booted before profiling starts.
 //
 // All numbers are host-side only; nothing here affects simulated output.
 //
@@ -55,9 +56,9 @@ type Report struct {
 	SimProbe  *SimProbe      `json:"sim_probe,omitempty"`
 	Taillats  *TaillatsProbe `json:"taillats_probe,omitempty"`
 	// HotFunctions is the top of `go tool pprof -top -cum` over a CPU
-	// profile of one sim-probe pass: where the issue loop actually spends
-	// host time, committed alongside the numbers so a perf PR's before/after
-	// can be read from the diff.
+	// profile of the sim probe's drive loop: where the issue loop actually
+	// spends host time, committed alongside the numbers so a perf PR's
+	// before/after can be read from the diff.
 	HotFunctions []HotFunc `json:"hot_functions,omitempty"`
 }
 
@@ -529,11 +530,18 @@ func runEndToEnd(jobs int) (*EndToEnd, *SimProbe, error) {
 // then the function name (which may contain spaces in generic instantiations).
 var hotTopRe = regexp.MustCompile(`^\s*\S+\s+([0-9.]+)%\s+[0-9.]+%\s+\S+\s+([0-9.]+)%\s+(.+?)\s*$`)
 
-// hotFunctions CPU-profiles one sim-probe pass and returns the top frames by
-// cumulative share, via `go tool pprof -top -cum` (the toolchain is already
-// a runtime dependency of runMicro). Failures are reported, not fatal: the
-// profile section is diagnostics, and a report without it is still valid.
+// hotFunctions CPU-profiles the sim probe's steady state and returns the top
+// frames by cumulative share, via `go tool pprof -top -cum` (the toolchain is
+// already a runtime dependency of runMicro). The machine is built and booted
+// before the profiler starts, so image build and boot never enter the table.
+// Failures are reported, not fatal: the profile section is diagnostics, and
+// a report without it is still valid.
 func hotFunctions() ([]HotFunc, error) {
+	m, err := newProbeMachine()
+	if err != nil {
+		return nil, err
+	}
+	defer m.k.Release()
 	f, err := os.CreateTemp("", "simprobe-*.pb.gz")
 	if err != nil {
 		return nil, err
@@ -543,11 +551,11 @@ func hotFunctions() ([]HotFunc, error) {
 		f.Close()
 		return nil, err
 	}
-	// One probe pass is ~30 ms — far under the 100 Hz sampler's resolution.
+	// One drive pass is ~30 ms — far under the 100 Hz sampler's resolution.
 	// Loop passes for ~2 s of profiled work so the table has real statistics.
 	var probeErr error
 	for start := time.Now(); time.Since(start) < 2*time.Second; {
-		if _, probeErr = simProbe(); probeErr != nil {
+		if _, probeErr = m.drive(); probeErr != nil {
 			break
 		}
 	}
@@ -588,37 +596,53 @@ func hotFunctions() ([]HotFunc, error) {
 	return hot, nil
 }
 
-// simProbe boots one machine on the quick-scale kernel image and drives a
-// syscall storm, reporting committed simulated instructions per host
-// second — the "simulated MIPS" figure of merit for the issue loop.
-func simProbe() (*SimProbe, error) {
+// probeMachine is the sim probe's machine: one process on a quick-scale
+// boot, with a mapped user buffer and an open regular file.
+type probeMachine struct {
+	k       *kernel.Kernel
+	p       *kernel.Task
+	buf, fd uint64
+}
+
+// newProbeMachine builds the quick-scale kernel image, boots a machine on it
+// and sets up the probe's process, buffer and file.
+func newProbeMachine() (m *probeMachine, err error) {
 	h := harness.New(harness.QuickOptions())
 	k, err := h.BootMachine(kernel.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	defer k.Release()
-	p, err := k.CreateProcess("probe")
-	if err != nil {
+	defer func() {
+		if err != nil {
+			k.Release()
+		}
+	}()
+	m = &probeMachine{k: k}
+	if m.p, err = k.CreateProcess("probe"); err != nil {
 		return nil, err
 	}
-	buf, err := k.Syscall(p, kimage.NRMmap, 4096, 1)
-	if err != nil {
+	if m.buf, err = k.Syscall(m.p, kimage.NRMmap, 4096, 1); err != nil {
 		return nil, err
 	}
-	fd, err := k.Syscall(p, kimage.NROpen)
-	if err != nil {
+	if m.fd, err = k.Syscall(m.p, kimage.NROpen); err != nil {
 		return nil, err
 	}
+	return m, nil
+}
+
+// drive runs one syscall storm (3000 rounds of getpid, rewind and a 256-byte
+// write) and reports committed simulated instructions per host second.
+func (m *probeMachine) drive() (*SimProbe, error) {
+	k := m.k
 	insts0 := k.Core.Stats.Insts
 	threaded0 := k.Core.Stats.ThreadedInsts
 	start := time.Now()
 	for i := 0; i < 3000; i++ {
-		if _, err := k.Syscall(p, kimage.NRGetpid); err != nil {
+		if _, err := k.Syscall(m.p, kimage.NRGetpid); err != nil {
 			return nil, err
 		}
-		k.Rewind(p, int(fd))
-		if _, err := k.Syscall(p, kimage.NRWrite, fd, buf, 256); err != nil {
+		k.Rewind(m.p, int(m.fd))
+		if _, err := k.Syscall(m.p, kimage.NRWrite, m.fd, m.buf, 256); err != nil {
 			return nil, err
 		}
 	}
@@ -632,6 +656,19 @@ func simProbe() (*SimProbe, error) {
 		}
 	}
 	return sp, nil
+}
+
+// simProbe boots one machine on the quick-scale kernel image and drives one
+// syscall storm on it, reporting committed simulated instructions per host
+// second — the "simulated MIPS" figure of merit for the issue loop. Only
+// the storm is timed.
+func simProbe() (*SimProbe, error) {
+	m, err := newProbeMachine()
+	if err != nil {
+		return nil, err
+	}
+	defer m.k.Release()
+	return m.drive()
 }
 
 // taillatsProbe runs the UNSAFE slice of the open-loop fleet experiment at a

@@ -41,7 +41,7 @@ func main() {
 }
 
 func run() error {
-	// Each experiment cell boots a fresh 32MB machine, so the live heap
+	// Each experiment cell builds a fresh machine, so the live heap
 	// cycles hard; the default GOGC=100 re-walks it after every boot. A
 	// higher target trades bounded extra memory for fewer collections —
 	// pure host-side tuning, honoured only if the user hasn't set GOGC.

@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/obs"
 )
@@ -351,6 +352,17 @@ func (c *Cache) InvalidateAll() {
 	}
 }
 
+// reset returns c to the state New built it in: every way invalid, clock,
+// generations and counters zero, no recorder attached.
+func (c *Cache) reset() {
+	clear(c.tags)
+	clear(c.stamps)
+	clear(c.mru)
+	clear(c.gens)
+	c.clock, c.stats = 0, Stats{}
+	c.obs, c.obsTag = nil, 0
+}
+
 // StateDigest hashes the architecturally meaningful cache state — tags,
 // stamps, and the LRU clock, FNV-1a word-wise — for differential suites
 // pinning two caches byte-equal. The mru hint is deliberately excluded: it
@@ -393,19 +405,41 @@ var (
 	DefaultL2  = Config{Sets: 2048, Ways: 16, LineBytes: 64} // 2 MB
 )
 
+// hierarchyPool holds released Table 7.1 hierarchies, already reset to
+// their constructor state. It saves only the host allocation (over half a
+// megabyte of L2 metadata per machine): a recycled hierarchy is
+// indistinguishable from a new one.
+var hierarchyPool sync.Pool
+
 // NewDefaultHierarchy builds the Table 7.1 hierarchy: 32KB L1I (4-way), 32KB
 // L1D (8-way), 2MB L2 slice (16-way), 2/8-cycle round trips and 100 cycles
-// of DRAM beyond L2 (50ns at 2GHz).
+// of DRAM beyond L2 (50ns at 2GHz). It reuses a released hierarchy when one
+// is pooled.
 func NewDefaultHierarchy() *Hierarchy {
-	return &Hierarchy{
-		L1I:              New(DefaultL1I),
-		L1D:              New(DefaultL1D),
-		L2:               New(DefaultL2),
-		L1Lat:            2,
-		L2Lat:            8,
-		MemLat:           100,
-		NextLinePrefetch: true,
+	if h, ok := hierarchyPool.Get().(*Hierarchy); ok {
+		return h
 	}
+	h := table71(New(DefaultL1I), New(DefaultL1D), New(DefaultL2))
+	return &h
+}
+
+// table71 assembles the three arrays with the Table 7.1 timing.
+func table71(l1i, l1d, l2 *Cache) Hierarchy {
+	return Hierarchy{L1I: l1i, L1D: l1d, L2: l2, L1Lat: 2, L2Lat: 8, MemLat: 100, NextLinePrefetch: true}
+}
+
+// Release empties h and pools it for a later NewDefaultHierarchy, which
+// hands it out in exactly its constructor state. Only Table 7.1 geometry is
+// pooled. The caller must not use h afterwards: another machine will.
+func (h *Hierarchy) Release() {
+	if h.L1I.cfg != DefaultL1I || h.L1D.cfg != DefaultL1D || h.L2.cfg != DefaultL2 {
+		return
+	}
+	h.L1I.reset()
+	h.L1D.reset()
+	h.L2.reset()
+	*h = table71(h.L1I, h.L1D, h.L2)
+	hierarchyPool.Put(h)
 }
 
 // AttachObs wires one observation recorder into all three arrays (nil

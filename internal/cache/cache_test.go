@@ -3,6 +3,8 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/obs"
 )
 
 func small() *Cache { return New(Config{Sets: 4, Ways: 2, LineBytes: 64}) }
@@ -285,5 +287,75 @@ func TestBadGeometryPanics(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// assertConstructorState fails unless h equals a new Table 7.1 hierarchy in
+// every observable: state digest, counters, per-set generations, latencies,
+// prefetcher, and no recorder attached.
+func assertConstructorState(t *testing.T, h *Hierarchy) {
+	t.Helper()
+	want := &Hierarchy{L1I: New(DefaultL1I), L1D: New(DefaultL1D), L2: New(DefaultL2),
+		L1Lat: 2, L2Lat: 8, MemLat: 100, NextLinePrefetch: true}
+	if h.StateDigest() != want.StateDigest() {
+		t.Errorf("StateDigest = %#x, want %#x", h.StateDigest(), want.StateDigest())
+	}
+	if h.L1Lat != want.L1Lat || h.L2Lat != want.L2Lat || h.MemLat != want.MemLat || !h.NextLinePrefetch {
+		t.Errorf("timing %d/%d/%d prefetch %v, want 2/8/100 true", h.L1Lat, h.L2Lat, h.MemLat, h.NextLinePrefetch)
+	}
+	for i, c := range []*Cache{h.L1I, h.L1D, h.L2} {
+		if c.Stats() != (Stats{}) {
+			t.Errorf("array %d: stats %+v, want zero", i, c.Stats())
+		}
+		if c.obs != nil || c.obsTag != 0 {
+			t.Errorf("array %d: recorder still attached", i)
+		}
+		for s := 0; s < c.cfg.Sets; s++ {
+			if g := c.GenAt(uint64(s) << c.lineShift); g != 0 {
+				t.Fatalf("array %d set %d: generation %d, want 0", i, s, g)
+			}
+		}
+	}
+}
+
+// TestHierarchyReleaseRestoresConstructorState dirties a hierarchy through
+// every state-changing path, releases it, and checks that both it and
+// whatever NewDefaultHierarchy hands out next are in constructor state.
+func TestHierarchyReleaseRestoresConstructorState(t *testing.T) {
+	h := NewDefaultHierarchy()
+	rec := obs.NewRecorder(64)
+	h.AttachObs(rec)
+	h.L1Lat, h.MemLat, h.NextLinePrefetch = 5, 300, false
+	for pa := uint64(0); pa < 1<<22; pa += 4160 {
+		h.AccessData(pa, pa%3 == 0)
+		h.AccessInst(pa + 64)
+		h.TouchData(pa)
+	}
+	h.AccessData(0x40, true)
+	h.FlushData(0x40)
+	h.L1I.InvalidateAll()
+	if rec.Len() == 0 || h.L2.Stats().Fills == 0 || h.L1D.Stats().Flushes == 0 {
+		t.Fatalf("hierarchy not dirtied: %d events, %+v", rec.Len(), h.L2.Stats())
+	}
+	h.Release()
+	assertConstructorState(t, h)
+	assertConstructorState(t, NewDefaultHierarchy())
+}
+
+// TestHierarchyReleaseSkipsOtherGeometry checks that a hierarchy built with
+// a non-Table-7.1 array is neither reset nor handed out again.
+func TestHierarchyReleaseSkipsOtherGeometry(t *testing.T) {
+	odd := &Hierarchy{L1I: New(DefaultL1I), L1D: New(DefaultL1D),
+		L2: New(Config{Sets: 4, Ways: 2, LineBytes: 64}), L1Lat: 2, L2Lat: 8, MemLat: 100}
+	odd.AccessData(0x1000, true)
+	before := odd.StateDigest()
+	odd.Release()
+	if odd.StateDigest() != before {
+		t.Fatalf("Release reset a non-default hierarchy")
+	}
+	for i := 0; i < 4; i++ {
+		if h := NewDefaultHierarchy(); h == odd || h.L2.Config() != DefaultL2 {
+			t.Fatalf("NewDefaultHierarchy handed out a non-default hierarchy")
+		}
 	}
 }

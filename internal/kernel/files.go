@@ -202,9 +202,11 @@ func (k *Kernel) ringWrite(f *File, data []byte) int {
 		n = space
 	}
 	pa, _ := memsim.DirectMapPA(f.dataVA, k.Phys.Bytes())
-	for i := uint64(0); i < n; i++ {
-		k.Phys.Write8(pa+(f.head+i)%ringCap, data[i])
-	}
+	// At most two spans: up to the end of the ring, then from its start.
+	off := f.head % ringCap
+	first := min(n, ringCap-off)
+	k.Phys.CopyIn(pa+off, data[:first])
+	k.Phys.CopyIn(pa, data[first:n])
 	f.head += n
 	k.marshalFile(f)
 	return int(n)
@@ -218,9 +220,10 @@ func (k *Kernel) ringRead(f *File, n int) []byte {
 	}
 	pa, _ := memsim.DirectMapPA(f.dataVA, k.Phys.Bytes())
 	out := k.xfer(avail)
-	for i := uint64(0); i < avail; i++ {
-		out[i] = k.Phys.Read8(pa + (f.tail+i)%ringCap)
-	}
+	off := f.tail % ringCap
+	first := min(avail, ringCap-off)
+	k.Phys.CopyOut(pa+off, out[:first])
+	k.Phys.CopyOut(pa, out[first:])
 	f.tail += avail
 	k.marshalFile(f)
 	return out
@@ -232,9 +235,7 @@ func (k *Kernel) WriteFileData(f *File, data []byte) {
 		data = data[:memsim.PageSize]
 	}
 	pa, _ := memsim.DirectMapPA(f.dataVA, k.Phys.Bytes())
-	for i, b := range data {
-		k.Phys.Write8(pa+uint64(i), b)
-	}
+	k.Phys.CopyIn(pa, data)
 	f.size = uint64(len(data))
 	f.offset = 0
 	k.marshalFile(f)

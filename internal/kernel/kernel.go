@@ -179,11 +179,19 @@ func (k *Kernel) wireHardware() {
 	}
 }
 
-// Release returns the machine's physical-memory backing store to the
-// process-wide recycling pool (memsim). Call only when completely done with
-// the machine — any later access through a retained pointer would touch an
-// unrelated future machine's memory.
-func (k *Kernel) Release() { k.Phys.Release() }
+// Release hands the machine's host memory to later machines: the physical
+// store's private granules (memsim) and the cache hierarchy (internal/cache).
+// Call only when completely done with the machine. A second Release is a
+// no-op, and any later use of the machine's memory or caches panics rather
+// than reaching another machine's state.
+func (k *Kernel) Release() {
+	if k.Core.H == nil {
+		return
+	}
+	k.Phys.Release()
+	k.Core.H.Release()
+	k.Core.H = nil
+}
 
 // boot reserves low memory, lays out the kernel globals, and seeds the
 // dispatch tables.

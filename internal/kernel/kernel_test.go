@@ -214,6 +214,36 @@ func TestPipe(t *testing.T) {
 	}
 }
 
+// TestPipeRingWraps moves payloads through a pipe so that both the write
+// and the read span the end of the ring buffer.
+func TestPipeRingWraps(t *testing.T) {
+	k := newKernel(t)
+	p := mustProc(t, k, "web")
+	ret, err := k.Syscall(p, kimage.NRPipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rfd, wfd := ret>>32, ret&0xffffffff
+	buf, _, _ := mustMmap(t, k, p, 4*4096, true)
+	out := buf + 2*4096
+	for round := 0; round < 3; round++ {
+		payload := make([]byte, 3000)
+		for i := range payload {
+			payload[i] = byte(i*7 + round)
+		}
+		k.CopyToUser(p, buf, payload)
+		if n, err := k.Syscall(p, kimage.NRWrite, wfd, buf, uint64(len(payload))); err != nil || n != uint64(len(payload)) {
+			t.Fatalf("round %d: pipe write = %d, %v", round, n, err)
+		}
+		if n, err := k.Syscall(p, kimage.NRRead, rfd, out, uint64(len(payload))); err != nil || n != uint64(len(payload)) {
+			t.Fatalf("round %d: pipe read = %d, %v", round, n, err)
+		}
+		if got, _ := k.ReadUser(p, out, len(payload)); !bytes.Equal(got, payload) {
+			t.Fatalf("round %d: pipe returned different bytes", round)
+		}
+	}
+}
+
 func TestLoopbackSockets(t *testing.T) {
 	k := newKernel(t)
 	server := mustProc(t, k, "server")

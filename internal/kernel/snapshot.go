@@ -1,7 +1,7 @@
 // Machine snapshot/clone engine. Booting a machine — kernel init, page-table
-// construction, buddy/slab warm-up, 32 MB of zeroed simulated memory — is
-// the dominant host cost when an evaluation runs hundreds of cells that all
-// boot the *same* configuration. A Snapshot captures the complete post-boot
+// construction, buddy/slab warm-up, DSV/ISV population — is the dominant
+// host cost when an evaluation runs hundreds of cells that all boot the
+// *same* configuration. A Snapshot captures the complete post-boot
 // state of one (Config, Image) machine exactly once; every later cell clones
 // it: the physical store is shared copy-on-write at 64 KB granularity
 // (memsim.PhysSnapshot) and only the small mutable OS structures — buddy and

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/kimage"
+	"repro/internal/memsim"
 )
 
 // driveMachine runs a fixed syscall workload and returns a state digest
@@ -129,29 +130,69 @@ func TestClonesIndependent(t *testing.T) {
 	}
 }
 
-// TestSnapshotConcurrentClones exercises the Clone path under -race.
+// TestSnapshotConcurrentClones clones, runs and releases machines from one
+// snapshot on 8 goroutines, several rounds each, so recycled granules and
+// cache hierarchies pass between goroutines (run under -race by make check).
 func TestSnapshotConcurrentClones(t *testing.T) {
 	snap, err := NewSnapshot(DefaultConfig(), testImg)
 	if err != nil {
 		t.Fatalf("NewSnapshot: %v", err)
 	}
+	const rounds = 3
 	var wg sync.WaitGroup
-	digests := make([]string, 8)
-	for g := range digests {
+	digests := make([]string, 8*rounds)
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := snap.Clone()
-			defer c.Release()
-			digests[g] = driveMachine(t, c)
+			for r := 0; r < rounds; r++ {
+				c := snap.Clone()
+				digests[g*rounds+r] = driveMachine(t, c)
+				c.Release()
+			}
 		}(g)
 	}
 	wg.Wait()
-	for g := 1; g < len(digests); g++ {
-		if digests[g] != digests[0] {
-			t.Errorf("concurrent clone %d diverged:\n got %s\nwant %s", g, digests[g], digests[0])
+	for i := 1; i < len(digests); i++ {
+		if digests[i] != digests[0] {
+			t.Errorf("concurrent clone %d diverged:\n got %s\nwant %s", i, digests[i], digests[0])
 		}
 	}
+}
+
+// TestDoubleReleaseNeverAliases releases a used clone twice and checks that
+// the next two clones of the same snapshot share neither physical memory nor
+// a cache hierarchy, and that the released machine cannot be used.
+func TestDoubleReleaseNeverAliases(t *testing.T) {
+	snap, err := NewSnapshot(DefaultConfig(), testImg)
+	if err != nil {
+		t.Fatalf("NewSnapshot: %v", err)
+	}
+	k := snap.Clone()
+	driveMachine(t, k)
+	k.Release()
+	k.Release()
+	if k.Core.H != nil {
+		t.Fatalf("released machine still holds its cache hierarchy")
+	}
+	a, b := snap.Clone(), snap.Clone()
+	defer a.Release()
+	defer b.Release()
+	if a.Core.H == b.Core.H {
+		t.Fatalf("two live machines share one cache hierarchy")
+	}
+	pa := uint64(a.Cfg.Frames-1) * memsim.PageSize
+	a.Phys.Write8(pa, 1)
+	b.Phys.Write8(pa, 2)
+	if a.Phys.Read8(pa) != 1 || b.Phys.Read8(pa) != 2 {
+		t.Fatalf("two live machines share physical memory: a=%d b=%d", a.Phys.Read8(pa), b.Phys.Read8(pa))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("use of a released machine's memory did not panic")
+		}
+	}()
+	k.Phys.Read8(0)
 }
 
 // TestSnapshotRejectsUsedMachine pins the pristine-machine guard.

@@ -4,12 +4,15 @@
 // all physical frames (the reason a single kernel gadget can leak *all*
 // memory, §4.1), a kernel text region, and a vmalloc region for kernel
 // stacks.
+//
+// Physical memory is a directory of 64 KB copy-on-write granules. A fresh
+// store points every granule at one shared, never-written zero granule, so
+// a machine pays host memory only for the granules it actually writes.
 package memsim
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sync"
 )
 
@@ -51,123 +54,82 @@ func IsKernel(va uint64) bool { return va >= DirectMapBase }
 // PageBase returns the base address of the page containing va.
 func PageBase(va uint64) uint64 { return va &^ (PageSize - 1) }
 
-// Granule geometry: physical memory is managed in 64 KB granules — the unit
-// of both dirty tracking (scrub-on-reuse) and copy-on-write sharing between
-// a frozen snapshot and its clones.
+// Granule geometry: physical memory is managed in 64 KB granules, the unit
+// of copy-on-write sharing with the zero granule and with a frozen snapshot.
 const (
 	granShift = 16
 	granSize  = 1 << granShift
 	granMask  = granSize - 1
 )
 
+// zeroGranule backs every granule of a fresh store. It is never written: the
+// first write to a granule copies it into private storage, so any number of
+// stores, snapshots and clones may share it, on any goroutine.
+var zeroGranule = make([]byte, granSize)
+
 // Phys is the simulated physical memory: a directory of 64 KB granules. All
 // simulated loads and stores ultimately land here, so a speculatively leaked
 // byte is a byte some victim really stored.
 //
-// A Phys comes in two lifecycles:
-//
-//   - A *fresh* store (NewPhys) owns one contiguous backing array; Release
-//     recycles it through a pool, scrubbing only the granules that were
-//     written.
-//   - A *clone* (PhysSnapshot.Clone) shares every granule read-only with an
-//     immutable snapshot; the first write to a granule copies it into
-//     private storage (copy-on-write), so a clone pays host memory only for
-//     what it actually touches.
+// Every granule is either shared read-only (the zero granule, or a frozen
+// snapshot's granule) or private to this store. The first write to a shared
+// granule copies it into private storage (copy-on-write). A fresh store
+// (NewPhys) starts with every granule shared with the zero granule, and a
+// clone (PhysSnapshot.Clone) with every granule shared with its snapshot, so
+// either pays host memory only for what it actually writes.
 type Phys struct {
 	// gr is the granule directory: gr[pa>>granShift] holds the granule's
-	// bytes. Every entry is exactly granSize long (backing is padded), so
-	// any access that stays within one simulated page stays within one
-	// granule.
+	// bytes. Every entry is exactly granSize long, so any access that stays
+	// within one simulated page stays within one granule.
 	gr     [][]byte
 	frames int
 	size   uint64 // addressable bytes: frames * PageSize
-	// backing is the contiguous store of a fresh (non-clone) Phys; nil for
-	// clones and for frozen stores.
-	backing []byte
-	// dirty has one bit per granule written since the store was last known
-	// all-zero (fresh stores) or since the clone was made (clones).
-	dirty []uint64
-	// shared has one bit per granule still shared read-only with snap; the
-	// first write copies the granule and clears the bit. nil unless this
-	// Phys is a clone.
+	// shared has one bit per granule still shared read-only; the first
+	// write copies the granule and clears the bit.
 	shared []uint64
-	// snap is the snapshot this clone was made from (nil otherwise); it
-	// keeps the shared granules alive.
-	snap *PhysSnapshot
 }
 
-// physPool recycles released fresh backing stores across machine boots.
-// Purely a host-side allocation cache: a recycled store is scrubbed back to
-// all-zero before reuse, so a booted machine's simulated state is
-// byte-identical whether its memory is fresh or recycled.
-var physPool sync.Pool
-
-// granulePool recycles the private granules of released clones. No scrub is
-// needed: privatizing a granule overwrites all of it with the snapshot's
-// contents before any read.
+// granulePool recycles the private granules of released stores. No scrub is
+// needed: privatizing a granule overwrites all of it with the shared
+// granule's contents before any read.
 var granulePool = sync.Pool{
 	New: func() any { return make([]byte, granSize) },
 }
 
-// NewPhys creates a physical memory of n frames, all zero.
+// allShared returns a shared bitmap with every one of n granules set.
+func allShared(n int) []uint64 {
+	shared := make([]uint64, (n+63)/64)
+	for g := 0; g < n; g++ {
+		shared[g>>6] |= 1 << (uint(g) & 63)
+	}
+	return shared
+}
+
+// NewPhys creates a physical memory of n frames, all zero. It allocates only
+// the granule directory: every granule starts as the shared zero granule.
 func NewPhys(frames int) *Phys {
 	if frames <= 0 {
 		panic("memsim: frames must be positive")
 	}
-	if v := physPool.Get(); v != nil {
-		p := v.(*Phys)
-		if p.frames == frames {
-			p.scrub()
-			return p
-		}
-		// Different geometry (quick vs. paper scale): drop it.
-	}
 	size := uint64(frames) * PageSize
-	granules := int((size + granMask) >> granShift)
-	backing := make([]byte, granules<<granShift)
-	gr := make([][]byte, granules)
+	gr := make([][]byte, (size+granMask)>>granShift)
 	for g := range gr {
-		gr[g] = backing[g<<granShift : (g+1)<<granShift : (g+1)<<granShift]
+		gr[g] = zeroGranule
 	}
-	return &Phys{
-		gr:      gr,
-		frames:  frames,
-		size:    size,
-		backing: backing,
-		dirty:   make([]uint64, (granules+63)/64),
-	}
+	return &Phys{gr: gr, frames: frames, size: size, shared: allShared(len(gr))}
 }
 
-// Release returns the backing store to the recycling layer. The caller must
-// be completely done with the machine: any later access through a retained
-// pointer would read (or corrupt) an unrelated future machine's memory.
-// Fresh stores re-enter the boot pool whole; a clone returns its privatized
-// granules to the granule pool. Releasing a frozen store is a no-op (its
-// granules now belong to the snapshot).
+// Release returns the store's private granules to the granule pool and
+// poisons it: any later access panics. A second Release, or a Release after
+// Freeze, is a no-op, so no granule can enter the pool twice and end up
+// private to two stores.
 func (p *Phys) Release() {
-	switch {
-	case p.snap != nil:
-		for g := range p.gr {
-			if p.shared[g>>6]&(1<<(uint(g)&63)) == 0 {
-				granulePool.Put(p.gr[g])
-			}
+	for g := range p.gr {
+		if p.shared[g>>6]&(1<<(uint(g)&63)) == 0 {
+			granulePool.Put(p.gr[g])
 		}
-		p.gr, p.shared, p.dirty, p.snap = nil, nil, nil, nil
-	case p.backing != nil:
-		physPool.Put(p)
 	}
-}
-
-// scrub zeroes every granule written since the store was last all-zero.
-func (p *Phys) scrub() {
-	for w, word := range p.dirty {
-		for word != 0 {
-			g := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			clear(p.gr[g])
-		}
-		p.dirty[w] = 0
-	}
+	p.gr, p.shared = nil, nil
 }
 
 // PhysSnapshot is an immutable frozen image of a physical memory's contents.
@@ -180,12 +142,12 @@ type PhysSnapshot struct {
 }
 
 // Freeze converts p into an immutable snapshot, consuming it: p is poisoned
-// (any later access panics) and must not be Released — its granules now
-// belong to the snapshot for the snapshot's lifetime. Freezing a clone is
-// allowed; granules still shared with its parent snapshot stay shared.
+// (any later access panics, and Release is a no-op) because its private
+// granules now belong to the snapshot for the snapshot's lifetime. Granules
+// p still shared (the zero granule, or its parent snapshot's) stay shared.
 func (p *Phys) Freeze() *PhysSnapshot {
 	s := &PhysSnapshot{gr: p.gr, frames: p.frames, size: p.size}
-	p.gr, p.backing, p.dirty, p.shared, p.snap = nil, nil, nil, nil, nil
+	p.gr, p.shared = nil, nil
 	return s
 }
 
@@ -196,23 +158,15 @@ func (s *PhysSnapshot) Frames() int { return s.frames }
 // start shared; the first write to a granule copies it (64 KB) into private
 // storage. Safe to call concurrently.
 func (s *PhysSnapshot) Clone() *Phys {
-	granules := len(s.gr)
-	words := (granules + 63) / 64
-	shared := make([]uint64, words)
-	for g := 0; g < granules; g++ {
-		shared[g>>6] |= 1 << (uint(g) & 63)
-	}
 	return &Phys{
 		gr:     append([][]byte(nil), s.gr...),
 		frames: s.frames,
 		size:   s.size,
-		dirty:  make([]uint64, words),
-		shared: shared,
-		snap:   s,
+		shared: allShared(len(s.gr)),
 	}
 }
 
-// privatize gives the clone its own copy of granule g before a write.
+// privatize gives the store its own copy of shared granule g before a write.
 func (p *Phys) privatize(g uint64) {
 	buf := granulePool.Get().([]byte)
 	copy(buf, p.gr[g])
@@ -220,27 +174,22 @@ func (p *Phys) privatize(g uint64) {
 	p.shared[g>>6] &^= 1 << (g & 63)
 }
 
-// mark records a write to the granule containing pa, breaking copy-on-write
-// sharing first. Every mutating accessor calls mark (or markRange) before
-// touching the bytes.
+// mark breaks copy-on-write sharing of the granule containing pa. Every
+// mutating accessor calls mark (or markRange) before touching the bytes.
 func (p *Phys) mark(pa uint64) {
 	g := pa >> granShift
-	if p.shared != nil && p.shared[g>>6]&(1<<(g&63)) != 0 {
+	if p.shared[g>>6]&(1<<(g&63)) != 0 {
 		p.privatize(g)
 	}
-	p.dirty[g>>6] |= 1 << (g & 63)
 }
 
-// markRange records a write to [pa, pa+n).
+// markRange breaks sharing of every granule [pa, pa+n) touches.
 func (p *Phys) markRange(pa, n uint64) {
 	if n == 0 {
 		return
 	}
 	for g := pa >> granShift; g <= (pa+n-1)>>granShift; g++ {
-		if p.shared != nil && p.shared[g>>6]&(1<<(g&63)) != 0 {
-			p.privatize(g)
-		}
-		p.dirty[g>>6] |= 1 << (g & 63)
+		p.mark(g << granShift)
 	}
 }
 
@@ -280,10 +229,14 @@ func (p *Phys) Write8(pa uint64, v byte) {
 	p.gr[pa>>granShift][pa&granMask] = v
 }
 
-// ZeroFrame clears the frame containing pa, as the kernel does before handing
-// a page to userspace.
+// ZeroFrame clears frame pfn, as the kernel does before handing a page to
+// userspace. A frame whose granule is still the zero granule already reads
+// as zero, so it is left shared.
 func (p *Phys) ZeroFrame(pfn uint64) {
 	off := pfn * PageSize
+	if &p.gr[off>>granShift][0] == &zeroGranule[0] {
+		return
+	}
 	p.mark(off)
 	g := p.gr[off>>granShift]
 	o := off & granMask

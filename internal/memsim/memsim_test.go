@@ -146,58 +146,136 @@ func TestNewPhysPanicsOnZeroFrames(t *testing.T) {
 	NewPhys(0)
 }
 
-// TestPhysRecyclingScrub exercises every write path, scrubs, and verifies the
-// store is indistinguishable from a fresh allocation — the invariant the
-// recycling pool depends on for byte-identical simulated output.
-func TestPhysRecyclingScrub(t *testing.T) {
-	const frames = 64 // 256 KB: several dirty granules
-	p := NewPhys(frames)
-	p.Write64(0, 0xdeadbeef)
-	p.Write8(PageSize+1, 0xff)
-	p.CopyIn(uint64(frames)*PageSize-9, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	p.CopyIn((1<<granShift)-4, []byte{1, 2, 3, 4, 5, 6, 7, 8}) // straddles a granule boundary
-	p.Write8(2*PageSize, 7)
-	p.ZeroFrame(2) // zeroes but still marks the granule
-	p.CopyFrame(3, 0)
-
-	p.scrub()
-	for pa := uint64(0); pa < p.Bytes(); pa++ {
-		if b := p.Read8(pa); b != 0 {
-			t.Fatalf("byte %#x = %#x after scrub, want 0", pa, b)
-		}
+// writeEveryPath writes through every mutating accessor of p, each into a
+// granule no earlier write touched: Write8, Write64, CopyIn across a granule
+// boundary, CopyFrame, and ZeroFrame on a written and on a never-written
+// granule. It returns the bytes p must now hold at the addresses it wrote.
+func writeEveryPath(p *Phys) map[uint64]byte {
+	const framesPerGranule = granSize / PageSize
+	p.Write8(1, 0xff)
+	p.Write64(granSize, 0x0807060504030201)
+	p.CopyIn(3*granSize-4, []byte{9, 10, 11, 12, 13, 14, 15, 16})
+	p.CopyFrame(4*framesPerGranule, framesPerGranule)
+	p.Write8(5*granSize+5, 7)
+	p.ZeroFrame(5 * framesPerGranule)
+	p.ZeroFrame(6 * framesPerGranule)
+	return map[uint64]byte{
+		1: 0xff, granSize: 1, granSize + 7: 8, 3*granSize - 4: 9, 3*granSize + 3: 16,
+		4 * granSize: 1, 4*granSize + 7: 8, 5*granSize + 5: 0,
 	}
-	for i, w := range p.dirty {
-		if w != 0 {
-			t.Fatalf("dirty word %d = %#x after scrub, want 0", i, w)
+}
+
+// TestZeroGranuleSurvivesEveryWritePath writes through every accessor, on a
+// fresh store and on a clone of a frozen fresh store, and checks that the
+// shared zero granule is still all-zero and a later NewPhys reads as zero.
+func TestZeroGranuleSurvivesEveryWritePath(t *testing.T) {
+	const frames = 128 // 512 KB: eight granules
+	for _, tc := range []struct {
+		name string
+		p    *Phys
+	}{
+		{"fresh", NewPhys(frames)},
+		{"clone", NewPhys(frames).Freeze().Clone()},
+	} {
+		want := writeEveryPath(tc.p)
+		for pa, b := range want {
+			if got := tc.p.Read8(pa); got != b {
+				t.Errorf("%s: byte %#x = %#x, want %#x", tc.name, pa, got, b)
+			}
+		}
+		for i, b := range zeroGranule {
+			if b != 0 {
+				t.Fatalf("%s: zero granule byte %#x = %#x", tc.name, i, b)
+			}
+		}
+		tc.p.Release()
+		q := NewPhys(frames)
+		for pa := uint64(0); pa < q.Bytes(); pa++ {
+			if b := q.Read8(pa); b != 0 {
+				t.Fatalf("%s: fresh byte %#x = %#x, want 0", tc.name, pa, b)
+			}
 		}
 	}
 }
 
-// TestPhysPoolRoundTrip releases a dirtied store and checks that whatever
-// NewPhys hands back next (recycled or fresh) is all-zero.
-func TestPhysPoolRoundTrip(t *testing.T) {
+// privateGranules counts the granules of gr that are not the zero granule.
+func privateGranules(gr [][]byte) int {
+	n := 0
+	for _, g := range gr {
+		if &g[0] != &zeroGranule[0] {
+			n++
+		}
+	}
+	return n
+}
+
+func TestZeroFrameOnZeroGranulePrivatizesNothing(t *testing.T) {
+	p := NewPhys(64)
+	p.ZeroFrame(1)
+	p.ZeroFrame(20)
+	if n := privateGranules(p.gr); n != 0 {
+		t.Fatalf("ZeroFrame on never-written memory privatized %d granules", n)
+	}
+	p.Write64(PageSize+8, 77)
+	p.Write64(2*PageSize, 78)
+	p.ZeroFrame(1)
+	if got := p.Read64(PageSize + 8); got != 0 {
+		t.Errorf("zeroed frame value = %d, want 0", got)
+	}
+	if got := p.Read64(2 * PageSize); got != 78 {
+		t.Errorf("neighbouring frame value = %d, want 78", got)
+	}
+	if n := privateGranules(p.gr); n != 1 {
+		t.Errorf("%d private granules, want 1", n)
+	}
+}
+
+func TestFrozenFreshStoreHoldsOnePrivateGranule(t *testing.T) {
+	p := NewPhys(8192)
+	p.Write64(5*granSize+8, 1)
+	p.Write8(5*granSize+PageSize, 2)
+	s := p.Freeze()
+	if n := privateGranules(s.gr); n != 1 {
+		t.Fatalf("snapshot holds %d private granules, want 1", n)
+	}
+}
+
+// TestDoubleReleaseNeverAliases releases a store twice and checks that the
+// next two stores are distinct: a second Release must not hand the same
+// memory (store or granule) to two later stores.
+func TestDoubleReleaseNeverAliases(t *testing.T) {
 	const frames = 32
-	p := NewPhys(frames)
-	p.Write64(5*PageSize+16, ^uint64(0))
+	snap := NewPhys(frames).Freeze()
+	for _, tc := range []struct {
+		name string
+		new  func() *Phys
+	}{
+		{"fresh", func() *Phys { return NewPhys(frames) }},
+		{"clone", snap.Clone},
+	} {
+		p := tc.new()
+		p.Write8(0, 0xAA)
+		p.Release()
+		p.Release()
+		a, b := tc.new(), tc.new()
+		a.Write8(8, 1)
+		b.Write8(8, 2)
+		if a == b || a.Read8(8) != 1 || b.Read8(8) != 2 {
+			t.Fatalf("%s: stores alias after a double Release: a[8]=%d b[8]=%d", tc.name, a.Read8(8), b.Read8(8))
+		}
+		a.Release()
+		b.Release()
+	}
+}
+
+func TestReleasePoisons(t *testing.T) {
+	p := NewPhys(4)
+	p.Write8(0, 1)
 	p.Release()
-	q := NewPhys(frames)
-	if q.Frames() != frames {
-		t.Fatalf("Frames() = %d, want %d", q.Frames(), frames)
-	}
-	for pa := uint64(0); pa < q.Bytes(); pa++ {
-		if b := q.Read8(pa); b != 0 {
-			t.Fatalf("recycled byte %#x = %#x, want 0", pa, b)
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("use of released Phys did not panic")
 		}
-	}
-	// Mismatched geometry must never alias the pooled store.
-	q.Release()
-	r := NewPhys(frames * 2)
-	if r.Frames() != frames*2 {
-		t.Fatalf("Frames() = %d, want %d", r.Frames(), frames*2)
-	}
-	for pa := uint64(0); pa < r.Bytes(); pa++ {
-		if b := r.Read8(pa); b != 0 {
-			t.Fatalf("fresh byte %#x = %#x, want 0", pa, b)
-		}
-	}
+	}()
+	p.Read8(0)
 }
