@@ -2,8 +2,8 @@ GO ?= go
 
 # Coverage floor for the packages `make cover` measures. Measured 76.9% over
 # harness + lebench when introduced, 83.1% once memsim, kernel, cpu and
-# staticflow joined; the gate trips if a change drops combined coverage
-# below this.
+# staticflow joined, before loadgen joined too; the gate trips if a change
+# drops combined coverage below this.
 COVER_MIN ?= 70
 
 .PHONY: build test vet race fuzzseed lint cover check bench benchsmoke benchdiff benchdiffsmoke relsecsmoke lockstepsmoke taillatsmoke staticsmoke simbenchsmoke clean
@@ -37,10 +37,11 @@ lint:
 	$(GO) run ./cmd/perspective-lint ./...
 
 # cover enforces COVER_MIN over the harness and lebench packages plus the
-# physical store, kernel, core and static verifier.
+# physical store, kernel, core, static verifier and open-loop replay engine.
 cover:
 	$(GO) test -count=1 -coverprofile=cover.out ./internal/harness/ ./internal/lebench/ \
-		./internal/memsim/ ./internal/kernel/ ./internal/cpu/ ./internal/staticflow/
+		./internal/memsim/ ./internal/kernel/ ./internal/cpu/ ./internal/staticflow/ \
+		./internal/loadgen/
 	@$(GO) tool cover -func=cover.out | awk -v min=$(COVER_MIN) \
 		'/^total:/ { sub(/%/, "", $$3); printf "coverage: %s%% (floor %s%%)\n", $$3, min; \
 		if ($$3+0 < min+0) { print "FAIL: coverage below floor"; exit 1 } }'

@@ -13,15 +13,19 @@
 //     service-time reservoir (keep-alive vs connection-churn strata). The
 //     measured UNSAFE mean sets each app's arrival rate at a fixed
 //     utilization rho, the same operating point for every scheme.
-//  2. Measure: every other (app, scheme, shard) cell probes its own
-//     machine the same way — identical drive sequence, scheme-free seeds —
-//     then replays 10⁶+ open-loop arrivals through Lindley's recurrence,
-//     drawing service times from its measured reservoir and streaming
-//     sojourn times into a mergeable log-bucket digest (O(1) memory).
-//  3. Merge: per-shard digests fold in canonical shard order, so output is
-//     byte-identical at any -jobs; arrival and sampling seeds derive
-//     without the scheme, so every scheme faces the same arrival process
-//     and the same sample draw sequence (a paired comparison).
+//  2. Probe: every other (app, scheme, shard) cell probes its own machine
+//     the same way — identical drive sequence, scheme-free seeds — filling
+//     that scheme's reservoir.
+//  3. Replay: one cell per (app, shard) drives 10⁶+ open-loop arrivals
+//     through Lindley's recurrence for every scheme in lockstep, each
+//     scheme drawing service times from its own reservoir and streaming
+//     sojourn times into its own mergeable log-bucket digest (O(1)
+//     memory). Arrival and sampling seeds derive without the scheme, so
+//     every scheme faces the same arrival process and the same sample
+//     draw sequence (a paired comparison), and one lockstep replay gives
+//     each scheme exactly the digest a replay of it alone would.
+//  4. Merge: per-shard digests fold in canonical shard order, so output is
+//     byte-identical at any -jobs.
 //
 // Full simulation of 10⁶ requests per cell would take hours at ~43
 // sim-MIPS; the hybrid probe-then-replay design keeps the kernel-path cost
@@ -73,8 +77,6 @@ type TailCell struct {
 	MeanService float64
 	// P50/P99/P999/Mean are sojourn times (queueing + service) in cycles.
 	P50, P99, P999, Mean float64
-	// Util is offered-load utilization over the replayed span.
-	Util float64
 	// P50X/P99X/P999X are overheads vs the app's UNSAFE cell.
 	P50X, P99X, P999X float64
 	// HandlerFaults accumulates kernel-reported faults across shard probes.
@@ -99,11 +101,10 @@ type tailShard struct {
 	faults uint64
 }
 
-// tailOut is one shard's complete phase-2 output: probe + replay.
-type tailOut struct {
-	shard tailShard
-	dig   loadgen.Digest
-	st    loadgen.ReplayStats
+// tailLane is one scheme's share of a lockstep (app, shard) replay.
+type tailLane struct {
+	dig loadgen.Digest
+	st  loadgen.ReplayStats
 }
 
 // tailKeys returns the Zipf key-universe size for an app (0 disables key
@@ -216,10 +217,11 @@ func tailMeanService(res *loadgen.Reservoir) float64 {
 }
 
 // tailReplay replays the shard's slice of the open-loop arrival stream
-// against its measured reservoir. meanGap comes from the UNSAFE
+// against every reservoir in res at once, streaming each one's sojourn
+// times into the matching digest in ds. meanGap comes from the UNSAFE
 // calibration; the stream seed omits the scheme so arrivals are identical
 // across schemes.
-func (h *Harness) tailReplay(app string, shard int, n uint64, meanGap float64, res *loadgen.Reservoir) (loadgen.Digest, loadgen.ReplayStats) {
+func (h *Harness) tailReplay(app string, shard int, meanGap float64, res []*loadgen.Reservoir, ds []*loadgen.Digest) ([]loadgen.ReplayStats, error) {
 	s := loadgen.NewStream(loadgen.StreamConfig{
 		Seed:       CellSeed(h.Opt.Seed, "taillats-stream", app, strconv.Itoa(shard)),
 		Kind:       h.Opt.TailArrival,
@@ -230,9 +232,7 @@ func (h *Harness) tailReplay(app string, shard int, n uint64, meanGap float64, r
 		Keys:       tailKeys(app),
 		ZipfS:      tailZipfS,
 	})
-	var d loadgen.Digest
-	st := loadgen.Replay(s, res, n, &d)
-	return d, st
+	return loadgen.Replay(s, res, h.Opt.shardRequests(shard), ds)
 }
 
 // shardRequests splits the per-cell request count across the fleet; shard 0
@@ -322,125 +322,123 @@ func (h *Harness) tailGrid() (*TailReport, error) {
 		meanGap[wi] = (sum / float64(n)) / tailRho
 	}
 
-	// Phase 2: every (app, scheme≠UNSAFE, shard) cell probes its machine
-	// and replays its stream slice; UNSAFE shards only replay (phase 3),
-	// reusing the calibration reservoirs — the probe would be identical.
+	// Phase 2: every (app, scheme≠UNSAFE, shard) cell probes its machine;
+	// UNSAFE shards reuse the calibration reservoirs — the probe would be
+	// identical. probed and probeErrs hold every (app, scheme, shard).
+	nk := len(h.Opt.Schemes)
+	at := func(wi, ki, s int) int { return (wi*nk+ki)*fleet + s }
+	probed := make([]tailShard, len(wls)*nk*fleet)
+	probeErrs := make([]error, len(probed))
 	type cellID struct {
-		wi    int
-		kind  schemes.Kind
-		shard int
+		wi, ki, shard int
 	}
 	var ids []cellID
 	var specs []CellSpec
 	for wi, w := range wls {
-		for _, kind := range h.Opt.Schemes {
-			if kind == schemes.Unsafe {
-				continue
-			}
+		for ki, kind := range h.Opt.Schemes {
 			for s := 0; s < fleet; s++ {
-				ids = append(ids, cellID{wi, kind, s})
-				specs = append(specs, CellSpec{"taillats", kind.String(), shardLabel(w, s)})
+				if kind != schemes.Unsafe {
+					ids = append(ids, cellID{wi, ki, s})
+					specs = append(specs, CellSpec{"taillats", kind.String(), shardLabel(w, s)})
+					continue
+				}
+				j := at(wi, ki, s)
+				if probeErrs[j] = calErr[wi]; probeErrs[j] == nil {
+					probed[j] = calCells[wi*fleet+s] // calibration grid is (app-major, shard-minor)
+				}
 			}
 		}
 	}
-	outs, outErrs := runGrid(h, specs, func(_ context.Context, i int, _ CellSpec) (tailOut, error) {
+	outs, outErrs := runGrid(h, specs, func(_ context.Context, i int, _ CellSpec) (tailShard, error) {
 		id := ids[i]
 		w := wls[id.wi]
 		if calErr[id.wi] != nil {
-			return tailOut{}, fmt.Errorf("UNSAFE calibration failed for %s: %w", w.Name, calErr[id.wi])
+			return tailShard{}, fmt.Errorf("UNSAFE calibration failed for %s: %w", w.Name, calErr[id.wi])
 		}
-		sh, err := h.tailProbe(id.kind, w, id.shard)
-		if err != nil {
-			return tailOut{shard: sh}, err
-		}
-		out := tailOut{shard: sh}
-		out.dig, out.st = h.tailReplay(w.Name, id.shard, h.Opt.shardRequests(id.shard), meanGap[id.wi], sh.res)
-		return out, nil
+		return h.tailProbe(h.Opt.Schemes[id.ki], w, id.shard)
 	})
+	for i, id := range ids {
+		j := at(id.wi, id.ki, id.shard)
+		probed[j], probeErrs[j] = outs[i], outErrs[i]
+	}
 
-	// Phase 3: UNSAFE replays over the calibration reservoirs.
-	var baseIDs []shardID
-	var baseSpecs []CellSpec
-	for wi, w := range wls {
+	// Phase 3: one lockstep replay per (app, shard) drives the shard's
+	// stream through the reservoir of every scheme whose probe succeeded.
+	// The reservoirs share the scheme-free sampling seed, and one probe
+	// stream filled their strata, so the stratum sizes match and each lane
+	// equals a replay of that scheme alone.
+	var replaySpecs []CellSpec
+	for _, w := range wls {
 		for s := 0; s < fleet; s++ {
-			baseIDs = append(baseIDs, shardID{wi, s})
-			baseSpecs = append(baseSpecs, CellSpec{"taillats-replay", schemes.Unsafe.String(), shardLabel(w, s)})
+			replaySpecs = append(replaySpecs, CellSpec{Experiment: "taillats-replay", Workload: shardLabel(w, s)})
 		}
 	}
-	baseOuts, baseErrs := runGrid(h, baseSpecs, func(_ context.Context, i int, _ CellSpec) (tailOut, error) {
-		id := baseIDs[i]
-		if calErr[id.wi] != nil {
-			return tailOut{}, calErr[id.wi]
+	replays, replayErrs := runGrid(h, replaySpecs, func(_ context.Context, i int, _ CellSpec) ([]tailLane, error) {
+		wi, s := i/fleet, i%fleet
+		lanes := make([]tailLane, nk)
+		var kis []int
+		var res []*loadgen.Reservoir
+		var ds []*loadgen.Digest
+		for ki := range lanes {
+			if j := at(wi, ki, s); probeErrs[j] == nil {
+				kis = append(kis, ki)
+				res = append(res, probed[j].res)
+				ds = append(ds, &lanes[ki].dig)
+			}
 		}
-		ci := id.wi*fleet + id.shard // calibration grid is (app-major, shard-minor)
-		sh := calCells[ci]
-		out := tailOut{shard: sh}
-		out.dig, out.st = h.tailReplay(wls[id.wi].Name, id.shard, h.Opt.shardRequests(id.shard), meanGap[id.wi], sh.res)
-		return out, nil
+		if len(res) == 0 {
+			return lanes, nil
+		}
+		sts, err := h.tailReplay(wls[wi].Name, s, meanGap[wi], res, ds)
+		if err != nil {
+			return nil, err
+		}
+		for li, ki := range kis {
+			lanes[ki].st = sts[li]
+		}
+		return lanes, nil
 	})
 
 	// Merge shards per (app, scheme) in canonical order and aggregate
 	// errors, mirroring the Fig93 reassembly discipline.
 	var cerrs CellErrors
-	mergeCell := func(w Workload, kind schemes.Kind, cellOuts []tailOut, errs []error) TailCell {
-		c := TailCell{App: w.Name, Scheme: kind}
-		var dig loadgen.Digest
-		var svcSum float64
-		var svcN int
-		for si := range cellOuts {
-			o := cellOuts[si]
-			c.HandlerFaults += o.shard.faults
-			if errs[si] != nil {
-				if c.Err == "" {
-					c.Err = errs[si].Error()
-				}
-				cerrs.Addf("taillats/%v/%s/shard%d: %w", kind, w.Name, si, errs[si])
-				continue
-			}
-			dig.Merge(&o.dig)
-			c.Requests += o.st.Requests
-			c.Churns += o.st.Churns
-			c.Util += o.st.Utilization()
-			if o.shard.res != nil {
-				svcSum += tailMeanService(o.shard.res)
-				svcN++
-			}
-		}
-		if n := len(cellOuts); n > 0 {
-			c.Util /= float64(n)
-		}
-		if svcN > 0 {
-			c.MeanService = svcSum / float64(svcN)
-		}
-		if dig.Count() > 0 {
-			c.P50 = dig.Quantile(0.50)
-			c.P99 = dig.Quantile(0.99)
-			c.P999 = dig.Quantile(0.999)
-			c.Mean = dig.Mean()
-		}
-		return c
-	}
-
-	byKey := map[[3]string]int{}
-	for i, id := range ids {
-		byKey[[3]string{wls[id.wi].Name, id.kind.String(), strconv.Itoa(id.shard)}] = i
-	}
 	for wi, w := range wls {
-		for _, kind := range h.Opt.Schemes {
-			var cellOuts []tailOut
-			var errs []error
+		for ki, kind := range h.Opt.Schemes {
+			c := TailCell{App: w.Name, Scheme: kind}
+			var dig loadgen.Digest
+			var svcSum float64
+			var svcN int
 			for s := 0; s < fleet; s++ {
-				if kind == schemes.Unsafe {
-					i := wi*fleet + s
-					cellOuts = append(cellOuts, baseOuts[i])
-					errs = append(errs, baseErrs[i])
+				j, ri := at(wi, ki, s), wi*fleet+s
+				c.HandlerFaults += probed[j].faults
+				err := probeErrs[j]
+				if err == nil {
+					err = replayErrs[ri]
+				}
+				if err != nil {
+					if c.Err == "" {
+						c.Err = err.Error()
+					}
+					cerrs.Addf("taillats/%v/%s/shard%d: %w", kind, w.Name, s, err)
 					continue
 				}
-				i := byKey[[3]string{w.Name, kind.String(), strconv.Itoa(s)}]
-				cellOuts = append(cellOuts, outs[i])
-				errs = append(errs, outErrs[i])
+				lane := &replays[ri][ki]
+				dig.Merge(&lane.dig)
+				c.Requests += lane.st.Requests
+				c.Churns += lane.st.Churns
+				svcSum += tailMeanService(probed[j].res)
+				svcN++
 			}
-			rep.Cells = append(rep.Cells, mergeCell(w, kind, cellOuts, errs))
+			if svcN > 0 {
+				c.MeanService = svcSum / float64(svcN)
+			}
+			if dig.Count() > 0 {
+				c.P50 = dig.Quantile(0.50)
+				c.P99 = dig.Quantile(0.99)
+				c.P999 = dig.Quantile(0.999)
+				c.Mean = dig.Mean()
+			}
+			rep.Cells = append(rep.Cells, c)
 		}
 	}
 	normalizeTails(rep.Cells)

@@ -131,6 +131,38 @@ func TestTailLatsMemoized(t *testing.T) {
 	}
 }
 
+// A scheme's cells must not depend on which other schemes share its
+// lockstep replay: phase 3 hands each scheme's reservoir to that scheme's
+// lane, whatever the scheme list around it.
+func TestTailLatsLanesIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet probe run")
+	}
+	cells := func(kinds ...schemes.Kind) map[[2]string]TailCell {
+		o := tailTestOptions(2)
+		o.Schemes = kinds
+		rep, err := New(o).TailLats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[[2]string]TailCell{}
+		for _, c := range rep.Cells {
+			m[[2]string{c.App, c.Scheme.String()}] = c
+		}
+		return m
+	}
+	wide := cells(schemes.Unsafe, schemes.Fence, schemes.Perspective)
+	narrow := cells(schemes.Unsafe, schemes.Perspective)
+	if len(narrow) != 8 {
+		t.Fatalf("got %d cells for two schemes, want 8", len(narrow))
+	}
+	for k, c := range narrow {
+		if w := wide[k]; w != c {
+			t.Errorf("%s/%s with FENCE beside it:\n  %+v\nwithout:\n  %+v", k[1], k[0], w, c)
+		}
+	}
+}
+
 // Without an UNSAFE baseline there is nothing to calibrate arrival rates
 // against; the grid must refuse up front.
 func TestTailLatsRequiresBaseline(t *testing.T) {

@@ -101,8 +101,10 @@ func (d *Digest) Mean() float64 {
 }
 
 // Quantile reports the q-th quantile (0 ≤ q ≤ 1) as the upper bound of the
-// bucket holding the ⌈q·count⌉-th sample. Relative error is bounded by
-// 2^-subBits for values in the log region; exact below 2^subBits.
+// bucket holding the rank-th smallest sample, where rank is q·count rounded
+// to the nearest integer (halves up) and clamped to [1, count]. Relative
+// error is bounded by 2^-subBits for values in the log region; exact below
+// 2^subBits.
 func (d *Digest) Quantile(q float64) float64 {
 	if d.count == 0 {
 		return 0

@@ -192,6 +192,6 @@ func BenchmarkReplay(b *testing.B) {
 		s := NewStream(streamCfg(int64(i)))
 		var d Digest
 		b.StartTimer()
-		Replay(s, res, 100000, &d)
+		replayOne(b, s, res, 100000, &d)
 	}
 }

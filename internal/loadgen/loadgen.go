@@ -1,9 +1,10 @@
 // Package loadgen is the open-loop traffic engine behind `-exp taillats`.
 // It generates deterministic request streams — a seeded arrival process
 // (Poisson or fixed-rate), a keep-alive/connection-churn mix, and a Zipf
-// key-popularity distribution — and replays them through a single-server
-// queueing recurrence whose per-request sojourn times stream into an online
-// latency digest (see digest.go) instead of a materialized slice.
+// key-popularity distribution — and replays each one through single-server
+// queueing recurrences, one per service-time reservoir, whose per-request
+// sojourn times stream into online latency digests (see digest.go) instead
+// of materialized slices.
 //
 // Open loop is the load model the paper's §7 closed-loop throughput runs
 // cannot express: clients issue requests on their own clock, so when a
@@ -152,30 +153,22 @@ func (s *Stream) Next(r *Req) {
 // Generated reports how many requests the stream has produced.
 func (s *Stream) Generated() uint64 { return s.n }
 
-// Service supplies per-request service costs in cycles. Implementations
-// must be deterministic functions of their own seeded state — the replay
-// engine calls Sample exactly once per request, in stream order.
-type Service interface {
-	Sample(churn bool) float64
-}
-
 // Reservoir is a stratified pool of measured service times: one stratum for
 // keep-alive requests, one for churn requests (which carry the connection
 // re-establishment kernel path on top of the serve path). The fleet runner
 // fills it from real simulated requests driven through the per-request app
-// hooks, then the replay engine samples it uniformly — so the replayed
-// distribution is the measured distribution, not a parametric fit.
+// hooks, then Replay samples it uniformly — so the replayed distribution is
+// the measured distribution, not a parametric fit.
 type Reservoir struct {
 	keep  []float64
 	churn []float64
 	seed  int64
-	rng   *rand.Rand
 }
 
 // NewReservoir builds an empty reservoir whose sampling draws derive from
 // seed.
 func NewReservoir(seed int64) *Reservoir {
-	return &Reservoir{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Reservoir{seed: seed}
 }
 
 // Seed returns the seed the reservoir's sampling draws derive from.
@@ -207,23 +200,6 @@ func meanOf(v []float64) float64 {
 	return sum / float64(len(v))
 }
 
-// Sample draws a measured service time for a request of the given stratum.
-// A stratum that was never observed falls back to the other one (a stream
-// with KeepAliveP=1 never measures churn, and vice versa).
-func (r *Reservoir) Sample(churn bool) float64 {
-	pool := r.keep
-	if churn && len(r.churn) > 0 {
-		pool = r.churn
-	}
-	if len(pool) == 0 {
-		pool = r.churn
-	}
-	if len(pool) == 0 {
-		return 0
-	}
-	return pool[r.rng.Intn(len(pool))]
-}
-
 // ReplayStats summarizes one replayed shard stream.
 type ReplayStats struct {
 	// Requests is the number of replayed requests.
@@ -244,34 +220,87 @@ func (st ReplayStats) Utilization() float64 {
 	return st.BusyCycles / st.SpanCycles
 }
 
-// Replay drives n requests from the stream through a single-server queue
-// (Lindley's recurrence): a request arriving at A with service S starts at
-// max(A, previous departure) and its sojourn time — queueing delay plus
-// service — streams into d. Memory is O(1): no latency slice is ever
-// materialized, which is what lets a cell replay 10⁶–10⁷ requests with a
-// fixed-size digest as its entire output.
-func Replay(s *Stream, svc Service, n uint64, d *Digest) ReplayStats {
-	var st ReplayStats
-	var busyUntil float64
+// lane is one reservoir's single-server queue inside a lockstep replay.
+type lane struct {
+	keep, churn []float64
+	d           *Digest
+	busyUntil   float64
+	busyCycles  float64
+}
+
+// Replay drives n requests from the stream through one single-server queue
+// per reservoir (Lindley's recurrence): a request arriving at A with
+// service S starts at max(A, previous departure) and its sojourn time —
+// queueing delay plus service — streams into that reservoir's digest in ds.
+// Memory is O(1) in n: no latency slice is ever materialized, which is what
+// lets a cell replay 10⁶–10⁷ requests with a fixed-size digest as its
+// entire output.
+//
+// The queues run in lockstep. Each request is drawn from the stream once,
+// and its stratum and sample index are drawn once from the reservoirs'
+// shared seed, then applied to every reservoir. A stratum that was never
+// observed falls back to the other one (a stream with KeepAliveP=1 never
+// measures churn, and vice versa); with both empty the service time is 0.
+// So that the one draw means the same for all of them, every reservoir
+// must share one seed and equal stratum sizes; then each reservoir's digest
+// and ReplayStats equal a replay of it alone, bit for bit. Anything else
+// is an error, returned before the stream or any digest is touched.
+func Replay(s *Stream, res []*Reservoir, n uint64, ds []*Digest) ([]ReplayStats, error) {
+	if len(res) == 0 || len(ds) != len(res) {
+		return nil, fmt.Errorf("loadgen: replay needs one digest per reservoir, got %d reservoirs and %d digests", len(res), len(ds))
+	}
+	first := res[0]
+	nKeep, nChurn := first.Len()
+	lanes := make([]lane, len(res))
+	for i, r := range res {
+		if k, c := r.Len(); r.seed != first.seed || k != nKeep || c != nChurn {
+			return nil, fmt.Errorf("loadgen: lockstep reservoir %d (seed %d, %d keep, %d churn) differs from reservoir 0 (seed %d, %d keep, %d churn)",
+				i, r.seed, k, c, first.seed, nKeep, nChurn)
+		}
+		lanes[i] = lane{keep: r.keep, churn: r.churn, d: ds[i]}
+	}
+	rng := rand.New(rand.NewSource(first.seed))
+	var churns uint64
 	var r Req
 	for i := uint64(0); i < n; i++ {
 		s.Next(&r)
-		start := r.Arrival
-		if busyUntil > start {
-			start = busyUntil
-		}
-		sv := svc.Sample(r.Churn)
-		if sv < 0 {
-			sv = 0
-		}
-		busyUntil = start + sv
-		d.Record(busyUntil - r.Arrival)
-		st.BusyCycles += sv
 		if r.Churn {
-			st.Churns++
+			churns++
+		}
+		fromChurn := r.Churn && nChurn > 0 || nKeep == 0
+		size := nKeep
+		if fromChurn {
+			size = nChurn
+		}
+		idx := -1
+		if size > 0 {
+			idx = rng.Intn(size)
+		}
+		for j := range lanes {
+			l := &lanes[j]
+			var sv float64
+			if idx >= 0 {
+				if fromChurn {
+					sv = l.churn[idx]
+				} else {
+					sv = l.keep[idx]
+				}
+				if sv < 0 {
+					sv = 0
+				}
+			}
+			start := r.Arrival
+			if l.busyUntil > start {
+				start = l.busyUntil
+			}
+			l.busyUntil = start + sv
+			l.d.Record(l.busyUntil - r.Arrival)
+			l.busyCycles += sv
 		}
 	}
-	st.Requests = n
-	st.SpanCycles = busyUntil
-	return st
+	stats := make([]ReplayStats, len(lanes))
+	for j, l := range lanes {
+		stats[j] = ReplayStats{Requests: n, Churns: churns, BusyCycles: l.busyCycles, SpanCycles: l.busyUntil}
+	}
+	return stats, nil
 }

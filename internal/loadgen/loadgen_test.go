@@ -186,47 +186,88 @@ func TestParseArrival(t *testing.T) {
 	}
 }
 
+// replayOne replays n requests of s against a single reservoir: the k=1
+// lockstep replay.
+func replayOne(t testing.TB, s *Stream, res *Reservoir, n uint64, d *Digest) ReplayStats {
+	t.Helper()
+	st, err := Replay(s, []*Reservoir{res}, n, []*Digest{d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st[0]
+}
+
+// constReservoir is a one-entry reservoir: every request costs c cycles.
+func constReservoir(c float64) *Reservoir {
+	r := NewReservoir(1)
+	r.AddKeep(c)
+	return r
+}
+
+// mixedStream never queues (the gap dwarfs every service time here) and
+// mixes keep-alive with churn requests, so each request's service time is
+// its sojourn time and both strata are asked for.
+func mixedStream() *Stream {
+	return NewStream(StreamConfig{Seed: 3, Kind: Fixed, MeanGap: 1e6, Conns: 1, KeepAliveP: 0.5})
+}
+
 func TestReservoirStrata(t *testing.T) {
 	r := NewReservoir(1)
 	r.AddKeep(100)
 	r.AddChurn(900)
+	s := mixedStream()
+	var keeps, churns int
 	for i := 0; i < 100; i++ {
-		if v := r.Sample(false); v != 100 {
-			t.Fatalf("keep-alive sample %g, want 100", v)
+		var d Digest
+		st := replayOne(t, s, r, 1, &d)
+		want := 100.0
+		if st.Churns == 1 {
+			want = 900
+			churns++
+		} else {
+			keeps++
 		}
-		if v := r.Sample(true); v != 900 {
-			t.Fatalf("churn sample %g, want 900", v)
+		if st.BusyCycles != want {
+			t.Fatalf("request %d (churn=%v) served in %g cycles, want %g", i, st.Churns == 1, st.BusyCycles, want)
 		}
+	}
+	if keeps == 0 || churns == 0 {
+		t.Fatalf("stream drew %d keep-alive and %d churn requests, want both", keeps, churns)
 	}
 }
 
 func TestReservoirFallback(t *testing.T) {
-	r := NewReservoir(1)
-	r.AddKeep(50)
-	if v := r.Sample(true); v != 50 {
-		t.Fatalf("churn sample with empty churn stratum = %g, want keep fallback 50", v)
-	}
-	empty := NewReservoir(1)
-	if v := empty.Sample(false); v != 0 {
-		t.Fatalf("empty reservoir sample = %g, want 0", v)
-	}
-	onlyChurn := NewReservoir(1)
-	onlyChurn.AddChurn(70)
-	if v := onlyChurn.Sample(false); v != 70 {
-		t.Fatalf("keep sample with empty keep stratum = %g, want churn fallback 70", v)
+	keepOnly := NewReservoir(1)
+	keepOnly.AddKeep(50)
+	churnOnly := NewReservoir(1)
+	churnOnly.AddChurn(70)
+	for _, tc := range []struct {
+		name string
+		res  *Reservoir
+		want float64
+	}{
+		{"empty churn stratum falls back to keep", keepOnly, 50},
+		{"empty keep stratum falls back to churn", churnOnly, 70},
+		{"empty reservoir serves in 0 cycles", NewReservoir(1), 0},
+	} {
+		const n = 1000
+		var d Digest
+		st := replayOne(t, mixedStream(), tc.res, n, &d)
+		if st.Churns == 0 || st.Churns == n {
+			t.Fatalf("%s: %d of %d requests churned, want a mix", tc.name, st.Churns, n)
+		}
+		if st.BusyCycles != tc.want*n {
+			t.Fatalf("%s: busy %g cycles, want %g", tc.name, st.BusyCycles, tc.want*n)
+		}
 	}
 }
-
-type constService float64
-
-func (c constService) Sample(bool) float64 { return float64(c) }
 
 // At low utilization a fixed-rate stream never queues: every sojourn time
 // equals the service time.
 func TestReplayNoQueueing(t *testing.T) {
 	s := NewStream(StreamConfig{Seed: 1, Kind: Fixed, MeanGap: 1000, Conns: 1, KeepAliveP: 1})
 	var d Digest
-	st := Replay(s, constService(100), 10000, &d)
+	st := replayOne(t, s, constReservoir(100), 10000, &d)
 	if st.Requests != 10000 || d.Count() != 10000 {
 		t.Fatalf("requests %d / digest count %d, want 10000", st.Requests, d.Count())
 	}
@@ -243,7 +284,7 @@ func TestReplayNoQueueing(t *testing.T) {
 func TestReplayOverloadQueues(t *testing.T) {
 	s := NewStream(StreamConfig{Seed: 1, Kind: Fixed, MeanGap: 100, Conns: 1, KeepAliveP: 1})
 	var d Digest
-	Replay(s, constService(200), 10000, &d)
+	replayOne(t, s, constReservoir(200), 10000, &d)
 	// At ρ=2 the backlog grows by 100 cycles per request, so even the
 	// median sojourn dwarfs the 200-cycle service time.
 	if p50, p99 := d.Quantile(0.5), d.Quantile(0.99); p50 < 100*200 || p99 < 1.8*p50 {
@@ -265,7 +306,7 @@ func TestReplayTailAmplification(t *testing.T) {
 	}
 	res.AddChurn(4000)
 	var d Digest
-	st := Replay(s, res, 200000, &d)
+	st := replayOne(t, s, res, 200000, &d)
 	if st.Churns == 0 {
 		t.Fatal("no churn requests in a KeepAliveP=0.9 stream")
 	}
@@ -285,7 +326,7 @@ func TestReplayDeterminism(t *testing.T) {
 			res.AddChurn(float64(900 + 31*i))
 		}
 		var d Digest
-		st := Replay(s, res, 50000, &d)
+		st := replayOne(t, s, res, 50000, &d)
 		return d, st
 	}
 	d1, st1 := run()
