@@ -6,7 +6,7 @@ GO ?= go
 # drops combined coverage below this.
 COVER_MIN ?= 70
 
-.PHONY: build test vet race fuzzseed lint cover check bench benchsmoke benchdiff benchdiffsmoke relsecsmoke lockstepsmoke taillatsmoke staticsmoke simbenchsmoke clean
+.PHONY: build test vet fmt race fuzzseed lint cover check bench benchsmoke benchdiff benchdiffsmoke relsecsmoke lockstepsmoke taillatsmoke staticsmoke simbenchsmoke clean
 
 # Packages carrying the host-perf microbenchmarks (cache access, vmm
 # translate, cpu issue loop, kernel syscall round-trip, app drive path,
@@ -22,6 +22,11 @@ test:
 vet:
 	$(GO) vet ./...
 
+# fmt fails when gofmt would reformat any tracked .go file.
+fmt:
+	@files=$$(git ls-files '*.go') && out=$$(gofmt -l $$files) && \
+		if [ -n "$$out" ]; then echo "gofmt -l (run gofmt -w on these):"; echo "$$out"; exit 1; fi
+
 race:
 	$(GO) test -race ./...
 
@@ -31,7 +36,7 @@ fuzzseed:
 	$(GO) test -run=Fuzz ./internal/kernel/ ./internal/cpu/ ./internal/loadgen/
 
 # lint runs the project's own go/analysis suite (determinism, errwrap,
-# specgate — see DESIGN.md §8). Exit 1 means an unannotated finding;
+# confine — see DESIGN.md §8). Exit 1 means an unannotated finding;
 # suppress intentional ones with `//lint:allow <analyzer> -- <reason>`.
 lint:
 	$(GO) run ./cmd/perspective-lint ./...
@@ -46,13 +51,13 @@ cover:
 		'/^total:/ { sub(/%/, "", $$3); printf "coverage: %s%% (floor %s%%)\n", $$3, min; \
 		if ($$3+0 < min+0) { print "FAIL: coverage below floor"; exit 1 } }'
 
-# check is the CI gate: vet + the project lint suite + race-enabled tests
+# check is the CI gate: vet + gofmt + the project lint suite + race-enabled tests
 # + fuzz seed corpus + a one-iteration benchmark smoke run (guards the
 # bench layer against bit-rot without paying for real measurement) + a
 # deterministic benchmark-coverage diff against the committed perf
 # trajectory + end-to-end relative-security, tail-latency, and static-
 # verifier smokes + the benchmark module's own tests.
-check: vet lint race fuzzseed lockstepsmoke benchsmoke benchdiffsmoke relsecsmoke taillatsmoke staticsmoke simbenchsmoke
+check: vet fmt lint race fuzzseed lockstepsmoke benchsmoke benchdiffsmoke relsecsmoke taillatsmoke staticsmoke simbenchsmoke
 
 # lockstepsmoke runs the bounded block-dispatch-vs-single-op differential
 # oracle at machine level: one scheme, a LEBench slice, one census gadget,
@@ -120,5 +125,5 @@ benchdiffsmoke:
 	$(GO) run ./cmd/benchreport -diff BENCH_hostperf.json -benchtime 10x -diff-names-only
 
 clean:
-	rm -f perspective-sim.state.json cover.out BENCH_hostperf.json
+	rm -f perspective-sim.state.json cover.out
 	$(GO) clean ./...

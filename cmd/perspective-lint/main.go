@@ -1,12 +1,11 @@
 // Command perspective-lint is the multichecker driver for the simulator's
 // invariant analyzers: determinism (no ambient time/randomness or unordered
 // map emission in internal/ packages), errwrap (context-wrapped error
-// propagation), specgate (speculative memory access only through the
-// DSV/ISV-checked accessors), l0gate (the L0 line-lookaside micro-cache
-// reachable only from the committed path), and epochgate (the resolve-
-// lookaside epoch discipline: vmm epoch counter, memsim lookaside state, and
-// ResolveFast callers confined to their blessed owners). See DESIGN.md §8
-// and §12 for the rules and the //lint:allow escape hatch.
+// propagation), and confine (one table of confinement rules: speculative
+// memory reads only through the DSV/ISV-checked accessors, the L0
+// line-lookaside micro-cache only from the committed path, and the
+// resolve-lookaside epoch, state and raw-hit path only in their owners).
+// See DESIGN.md §8 for the rules and the //lint:allow escape hatch.
 //
 // Usage:
 //
@@ -23,21 +22,17 @@ import (
 
 	"repro/internal/lint"
 	"repro/internal/lint/analysis"
+	"repro/internal/lint/confine"
 	"repro/internal/lint/determinism"
-	"repro/internal/lint/epochgate"
 	"repro/internal/lint/errwrap"
-	"repro/internal/lint/l0gate"
 	"repro/internal/lint/load"
-	"repro/internal/lint/specgate"
 )
 
 // analyzers is the perspective-lint suite, in report order.
 var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
 	errwrap.Analyzer,
-	specgate.Analyzer,
-	l0gate.Analyzer,
-	epochgate.Analyzer,
+	confine.Analyzer,
 }
 
 func main() {

@@ -269,7 +269,7 @@ func (c *Cache) accessScan(addr uint64, set int, updateLRU bool) bool {
 // stamp update — and nothing else, so a caller that has *proved* the line is
 // still in slot (an L0 entry whose generation matches GenAt) gets a
 // byte-identical cache afterwards. The proof obligation is the caller's;
-// perspective-lint's l0gate analyzer confines callers to the committed-path
+// perspective-lint's confine analyzer confines callers to the committed-path
 // accessors in internal/cpu.
 func (c *Cache) CommitHit(slot int32) {
 	c.clock++

@@ -21,8 +21,8 @@
 // Transient (wrong-path) accesses must take the full hierarchy: their LRU
 // deferral (updateLRU=false) is a different state transition, and routing
 // them around the Policy consult in specLoad would open a side channel the
-// defenses never see. perspective-lint's l0gate analyzer enforces that
-// confinement statically.
+// defenses never see. perspective-lint's confine analyzer (the L0 rows)
+// enforces that confinement statically.
 package cpu
 
 // l0Bits sizes the direct-mapped tables: 512 entries cover 32 KB of

@@ -203,7 +203,7 @@ func FuzzL0Differential(f *testing.F) {
 }
 
 // TestL0TransientBypass pins the security-relevant confinement property at
-// runtime (the l0gate analyzer pins it statically): wrong-path loads take
+// runtime (the confine analyzer pins it statically): wrong-path loads take
 // the full hierarchy, so a transient window never installs or refreshes an
 // L0 entry — the fast path cannot become a new transient side channel.
 func TestL0TransientBypass(t *testing.T) {

@@ -276,7 +276,7 @@ const (
 // the active Policy (the DSV/ISV check API) rules on the transmitter first,
 // then the cache line fills (the covert channel), the security checker
 // observes the fill, and only then is the value read, store-buffer forwards
-// included. perspective-lint's specgate analyzer enforces that no other
+// included. perspective-lint's confine analyzer enforces that no other
 // transient-execution code reads simulated memory directly, so a new
 // speculation feature cannot bypass the defenses this path consults.
 func (c *Core) specLoad(pc, va uint64, size uint8, addrTainted bool) (uint64, specLoadStatus) {
@@ -340,7 +340,7 @@ func (c *Core) specLoad(pc, va uint64, size uint8, addrTainted bool) (uint64, sp
 // channel exposes; the *value* is attached as an undigested annotation so a
 // distinguishing trace can name the byte that leaked. Reading that value
 // takes a direct memory access on the transient path, which is why this
-// helper is specgate-blessed alongside specLoad itself.
+// helper sits beside specLoad in confine's speculation-gate allowlist.
 func (c *Core) observeTransientLoad(pc, va, pa uint64, size uint8) {
 	c.Obs.Record(obs.Event{Kind: obs.KindSpecLoad, PC: pc, Addr: va, Note: c.Mem.LoadPA(pa, size)})
 }
