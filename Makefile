@@ -104,8 +104,11 @@ staticsmoke:
 simbenchsmoke:
 	cd simbench && $(GO) test -count=1 .
 
-# bench produces BENCH_hostperf.json: micro ns/op per hot function plus an
-# end-to-end `-exp all` cells/sec and simulated-MIPS measurement.
+# bench produces BENCH_hostperf.json: micro ns/op per hot function plus the
+# record of one traced simbench run of keepalive and of eval-quick at seed 1
+# (end-to-end ops/s, set-up and peak RSS; per-scheme sim-MIPS and consult
+# cost, per-experiment wall time, flat profile per package; the profile
+# itself stays in .bench_build/runs/).
 bench:
 	$(GO) run ./cmd/benchreport -out BENCH_hostperf.json
 
@@ -114,13 +117,15 @@ benchsmoke:
 
 # benchdiff re-measures the micro benchmarks and fails on a >25% ns/op
 # regression against the committed BENCH_hostperf.json. Full measurement
-# (~1 min); run before merging perf-sensitive changes.
+# (a few minutes); run before merging perf-sensitive changes. It gates micro
+# ns/op only: `bash simbench/run.sh compare A B` compares end to end.
 benchdiff:
 	$(GO) run ./cmd/benchreport -diff BENCH_hostperf.json
 
 # benchdiffsmoke is the `make check` form: a fast run that only verifies
-# every committed benchmark still exists (timing at -benchtime=10x is too
-# noisy to gate on, so it doesn't).
+# every committed benchmark still exists and that the committed ledger holds
+# a correct simbench result for each recorded workload (timing at
+# -benchtime=10x is too noisy to gate on, so it doesn't).
 benchdiffsmoke:
 	$(GO) run ./cmd/benchreport -diff BENCH_hostperf.json -benchtime 10x -diff-names-only
 

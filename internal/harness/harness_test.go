@@ -1,23 +1,38 @@
 package harness
 
 import (
-	"bytes"
-	"os"
+	"io"
 	"testing"
 
 	"repro/internal/schemes"
 )
 
+// TestRunAllQuick runs the whole registry under the supervisor, with every
+// per-cell budget trimmed as simbench's small eval-quick trims it, and fails
+// on any experiment's error.
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness run")
 	}
-	h := New(QuickOptions())
-	var buf bytes.Buffer
-	if err := h.RunAll(&buf); err != nil {
-		t.Fatalf("RunAll: %v\n%s", err, buf.String())
+	opt := QuickOptions()
+	opt.Schemes = []schemes.Kind{schemes.Unsafe, schemes.Perspective}
+	opt.LEBenchIters = 1
+	opt.AppRequests = 4
+	opt.TailRequests = 1000
+	opt.TailFleet = 1
+	opt.TailProbes = 8
+	results, err := Supervise(opt, SupervisorOptions{Retries: 1}, io.Discard)
+	if len(results) != len(Experiments()) {
+		t.Fatalf("supervised %d experiments, registry has %d", len(results), len(Experiments()))
 	}
-	os.Stdout.Write(buf.Bytes())
+	for _, r := range results {
+		if r.Err != "" {
+			t.Errorf("%s: %s", r.Name, r.Err)
+		}
+	}
+	if err != nil {
+		t.Errorf("Supervise: %v", err)
+	}
 }
 
 func TestSchemeAverages(t *testing.T) {

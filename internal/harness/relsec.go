@@ -314,11 +314,11 @@ func (h *Harness) RelSec() (*RelSecReport, error) {
 		}
 	}
 
-	witness, err := h.relsecWitness(CellSeed(h.Opt.Seed, "relsec", "witness"))
+	witness, err := h.witness()
 	if err != nil {
 		return &RelSecReport{Cells: cells}, fmt.Errorf("relsec witness: %w", err)
 	}
-	repair, err := h.relsecRepair(CellSeed(h.Opt.Seed, "relsec", "repair"))
+	repair, err := h.relsecRepair()
 	if err != nil {
 		return &RelSecReport{Cells: cells, Witness: witness}, fmt.Errorf("relsec repair: %w", err)
 	}
@@ -380,52 +380,92 @@ func relsecLeakCount(mask byte) int {
 	return n
 }
 
-// relsecRepair runs the CureSpec-style loop: scan the unhardened scope, take
-// the campaign's first finding, fence exactly that function, re-verify
-// driveable gadgets with the differential oracle, repeat until the scanner
-// reports the census clean. It then prices the accumulated repair against
-// blanket FENCE, in fenced load sites and in LEBench cycles.
-func (h *Harness) relsecRepair(seed int64) (*RelSecRepair, error) {
-	img := h.Img
-	scope := allFuncIDs(img)
-	hardened := map[int]bool{}
-	var ranges []schemes.VARange
-	rep := &RelSecRepair{}
+// repairSeq is the repair loop's find→harden sequence: each scan of the
+// unhardened scope names one function to fence, until a scan comes back
+// clean. It is a pure function of the image and the run seed, so -exp
+// relsec re-verifies over it and -exp staticflow prices it without
+// scanning again.
+type repairSeq struct {
+	seed   int64
+	steps  []scanner.Finding // the finding that fenced each step's function
+	ranges []schemes.VARange // the fenced functions, sorted by Start
+	clean  bool              // the last scan found nothing
+	// blanket is the fenced load sites a kernel-wide FENCE would cover.
+	blanket int
+}
 
-	for iter := 1; ; iter++ {
-		live := scope[:0:0]
-		for _, id := range scope {
-			if !hardened[id] {
-				live = append(live, id)
+// repairScan memoizes the repair loop's scan sequence on the harness. The
+// loop hardens one more function per scan, so it ends within one scan per
+// function; clean is false only if it did not.
+func (h *Harness) repairScan() *repairSeq {
+	h.repairOnce.Do(func() {
+		img := h.Img
+		s := &repairSeq{seed: CellSeed(h.Opt.Seed, "relsec", "repair")}
+		scope := allFuncIDs(img)
+		hardened := map[int]bool{}
+		for iter := 1; iter <= len(scope)+1; iter++ {
+			live := scope[:0:0]
+			for _, id := range scope {
+				if !hardened[id] {
+					live = append(live, id)
+				}
 			}
+			sc := scanner.Scan(img, live, CellSeed(s.seed, "scan", fmt.Sprint(iter)))
+			if len(sc.Findings) == 0 {
+				s.clean = true
+				break
+			}
+			f := img.FuncByID(sc.Findings[0].FuncID)
+			hardened[f.ID] = true
+			s.ranges = insertRange(s.ranges, schemes.VARange{Start: f.VA, End: f.End()})
+			s.steps = append(s.steps, sc.Findings[0])
 		}
-		sc := scanner.Scan(img, live, CellSeed(seed, "scan", fmt.Sprint(iter)))
-		if len(sc.Findings) == 0 {
-			rep.Clean = true
-			break
+		for _, id := range scope {
+			s.blanket += scanner.FenceSites(img.FuncByID(id))
 		}
-		found := sc.Findings[0]
+		h.repair = s
+	})
+	return h.repair
+}
+
+// witness memoizes -exp relsec's distinguishing witness on the harness;
+// -exp staticflow checks that the same trace is statically flagged.
+func (h *Harness) witness() (*RelSecWitness, error) {
+	h.witnessOnce.Do(func() {
+		h.wit, h.witErr = h.relsecWitness(CellSeed(h.Opt.Seed, "relsec", "witness"))
+	})
+	return h.wit, h.witErr
+}
+
+// relsecRepair runs the CureSpec-style loop over the memoized scan
+// sequence: each step fences exactly the function the scan found, and a
+// driveable step re-verifies its gadget with the differential oracle under
+// the fences accumulated so far, and is trace-equal only if the secret
+// pair's traces no longer differ. It then prices the converged repair
+// against blanket FENCE, in fenced load sites and in LEBench cycles.
+func (h *Harness) relsecRepair() (*RelSecRepair, error) {
+	img := h.Img
+	scan := h.repairScan()
+	rep := &RelSecRepair{Clean: scan.clean, BlanketSites: scan.blanket}
+	var ranges []schemes.VARange
+	for i, found := range scan.steps {
 		f := img.FuncByID(found.FuncID)
-		hardened[f.ID] = true
 		ranges = insertRange(ranges, schemes.VARange{Start: f.VA, End: f.End()})
 		step := RelSecRepairStep{
-			Iter: iter, Func: f.Name, Kind: found.Kind, Sites: scanner.FenceSites(f),
+			Iter: i + 1, Func: f.Name, Kind: found.Kind, Sites: scanner.FenceSites(f),
 		}
 		rep.TotalSites += step.Sites
 		if relsecTableOff(f) != 0 {
-			eq, err := h.relsecVerifyHardened(f, ranges, CellSeed(seed, "verify", f.Name))
+			diverged, err := h.fencedPairDiverged([]*kimage.Func{f}, ranges, CellSeed(scan.seed, "verify", f.Name))
 			if err != nil {
-				return rep, err
+				return rep, fmt.Errorf("verify %s %w", f.Name, err)
 			}
-			step.Checked, step.TraceEqual = true, eq
+			step.Checked, step.TraceEqual = true, !diverged[0]
 		}
 		rep.Steps = append(rep.Steps, step)
-		if iter > len(scope) {
-			return rep, fmt.Errorf("repair loop did not converge after %d iterations", iter)
-		}
 	}
-	for _, id := range scope {
-		rep.BlanketSites += scanner.FenceSites(img.FuncByID(id))
+	if !scan.clean {
+		return rep, fmt.Errorf("repair loop did not converge after %d iterations", len(scan.steps))
 	}
 
 	// Final pass: steps whose immediate re-check still diverged must be
@@ -436,11 +476,11 @@ func (h *Harness) relsecRepair(seed int64) (*RelSecRepair, error) {
 		}
 		rep.FinalRecheck++
 		f := img.MustFunc(s.Func)
-		eq, err := h.relsecVerifyHardened(f, ranges, CellSeed(seed, "final", f.Name))
+		diverged, err := h.fencedPairDiverged([]*kimage.Func{f}, scan.ranges, CellSeed(scan.seed, "final", f.Name))
 		if err != nil {
-			return rep, err
+			return rep, fmt.Errorf("verify %s %w", f.Name, err)
 		}
-		if eq {
+		if !diverged[0] {
 			rep.FinalEqual++
 		}
 	}
@@ -449,7 +489,7 @@ func (h *Harness) relsecRepair(seed int64) (*RelSecRepair, error) {
 	if rep.UnsafeCycles, err = h.relsecCycles(nil, false); err != nil {
 		return rep, err
 	}
-	if rep.SelectiveCycles, err = h.relsecCycles(ranges, false); err != nil {
+	if rep.SelectiveCycles, err = h.relsecCycles(scan.ranges, false); err != nil {
 		return rep, err
 	}
 	if rep.BlanketCycles, err = h.relsecCycles(nil, true); err != nil {
@@ -468,30 +508,29 @@ func insertRange(rs []schemes.VARange, r schemes.VARange) []schemes.VARange {
 	return rs
 }
 
-// relsecVerifyHardened re-runs the differential oracle for one repaired
-// gadget under the accumulated selective fences: the repair is accepted only
-// if the secret pair's traces are now equal.
-func (h *Harness) relsecVerifyHardened(f *kimage.Func, ranges []schemes.VARange, seed int64) (bool, error) {
-	targets := []*kimage.Func{f}
+// fencedPairDiverged drives targets on both members of the secret pair
+// drawn from seed, each a fresh machine under SelectiveFencePolicy over
+// ranges, and reports per target whether the members' traces differ.
+func (h *Harness) fencedPairDiverged(targets []*kimage.Func, ranges []schemes.VARange, seed int64) ([]bool, error) {
 	sA, sB := relsecSecrets(seed)
-	run := func(secret byte) (relsecRun, error) {
+	var runs [2]relsecRun
+	for i, secret := range []byte{sA, sB} {
 		k, err := h.BootMachine(kernel.DefaultConfig())
 		if err != nil {
-			return relsecRun{}, err
+			return nil, fmt.Errorf("member %c: %w", "AB"[i], err)
 		}
-		defer k.Release()
 		k.Core.Policy = &schemes.SelectiveFencePolicy{Ranges: ranges}
-		return relsecDrive(k, secret, targets, relsecCellCap)
+		runs[i], err = relsecDrive(k, secret, targets, relsecCellCap)
+		k.Release()
+		if err != nil {
+			return nil, fmt.Errorf("member %c: %w", "AB"[i], err)
+		}
 	}
-	a, err := run(sA)
-	if err != nil {
-		return false, fmt.Errorf("verify %s member A: %w", f.Name, err)
+	diverged := make([]bool, len(targets))
+	for j := range targets {
+		diverged[j] = runs[0].marks[j] != runs[1].marks[j]
 	}
-	b, err := run(sB)
-	if err != nil {
-		return false, fmt.Errorf("verify %s member B: %w", f.Name, err)
-	}
-	return a.marks[0] == b.marks[0], nil
+	return diverged, nil
 }
 
 // relsecCycles prices a small LEBench slice under a repair policy: nil

@@ -151,85 +151,3 @@ func PrintHWCompare(w io.Writer, rows []HWCompareRow) {
 		fmt.Fprintf(w, "%-20s %13.1f%% %18.3f\n", r.Scheme.String(), r.MicroOverhead, r.MacroNorm)
 	}
 }
-
-// RunAll executes every experiment and prints the paper-style report. A
-// failing experiment no longer aborts the rest: its error is accumulated,
-// whatever it measured is still printed, and the aggregate is returned at
-// the end. (perspective-sim's `-exp all` adds panic recovery, deadlines,
-// retries and checkpointing on top via Supervise.)
-func (h *Harness) RunAll(w io.Writer) error {
-	var cerrs CellErrors
-
-	PrintTable71(w)
-	PrintTable41(w)
-	PrintTable91(w)
-
-	rows81, err := h.Table81()
-	cerrs.Add(err)
-	if len(rows81) > 0 || err == nil {
-		PrintTable81(w, rows81, h.Img.NumFuncs())
-	}
-
-	rows82, census, err := h.Table82()
-	cerrs.Add(err)
-	if len(rows82) > 0 || err == nil {
-		PrintTable82(w, rows82, census)
-	}
-
-	rows91, err := h.Fig91()
-	cerrs.Add(err)
-	if len(rows91) > 0 {
-		PrintFig91(w, rows91)
-	}
-
-	poc, err := h.PoCMatrix()
-	cerrs.Add(err)
-	if len(poc) > 0 {
-		PrintPoCMatrix(w, poc)
-	}
-
-	le, err := h.Fig92()
-	cerrs.Add(err)
-	if len(le) > 0 {
-		PrintFig92(w, le, h.Opt.Schemes)
-	}
-
-	ap, err := h.Fig93()
-	cerrs.Add(err)
-	if len(ap) > 0 {
-		PrintFig93(w, ap, h.Opt.Schemes)
-	}
-
-	if len(le) > 0 || len(ap) > 0 {
-		PrintHWCompare(w, HWCompare(le, ap, h.Opt.Schemes))
-	}
-
-	fences, err := h.Table101()
-	cerrs.Add(err)
-	if len(fences) > 0 {
-		PrintTable101(w, fences)
-	}
-
-	sens, err := h.Sensitivity()
-	cerrs.Add(err)
-	if len(sens) > 0 {
-		PrintSensitivity(w, sens)
-	}
-
-	sweep, err := h.ISVCacheSweep()
-	cerrs.Add(err)
-	if len(sweep) > 0 {
-		PrintCacheSweep(w, sweep)
-	}
-
-	fsweep, err := h.FaultSweep()
-	cerrs.Add(err)
-	if len(fsweep) > 0 {
-		PrintFaultSweep(w, fsweep)
-	}
-
-	if cerrs.Len() > 0 {
-		fmt.Fprintf(w, "\n!! %d experiment failure(s); see aggregate error\n", cerrs.Len())
-	}
-	return cerrs.Err()
-}

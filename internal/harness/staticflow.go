@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/kernel"
 	"repro/internal/scanner"
 	"repro/internal/schemes"
 	"repro/internal/staticflow"
@@ -20,15 +19,16 @@ import (
 //     dynamic scanner census and the relsec distinguishing witness must be
 //     statically flagged — plus the precision table of static-only findings;
 //  3. static fence synthesis compared head-to-head with the CureSpec-style
-//     dynamic repair loop (replayed scan-only under the same seeds, so the
-//     comparison reproduces `-exp relsec`'s converged loop exactly);
+//     dynamic repair loop (the scan sequence `-exp relsec` converges over,
+//     memoized on the harness, so the comparison is that loop exactly);
 //  4. the statically synthesized fence set re-judged by the relsec
 //     differential oracle: every driveable gadget's secret pair must be
 //     trace-equal under SelectiveFencePolicy over the static ranges.
 //
 // Every phase is deterministic and cells reassemble in spec order, so the
 // rendered report is byte-identical at any -jobs. Wall-clock time is
-// deliberately absent from the report (benchreport tracks it instead).
+// deliberately absent from the report (simbench's traced eval-quick run
+// tracks it as harness.exp_s.staticflow).
 
 // staticflowShards fixes the per-round shard count of the analysis phase.
 // It is a constant — independent of -jobs — so the cell grid, and with it
@@ -58,8 +58,8 @@ type StaticFlowReport struct {
 	WitnessPC      uint64
 	WitnessFlagged bool
 
-	// Fence synthesis: the static cut vs the dynamic repair loop (replayed
-	// scan-only under -exp relsec's seeds) vs blanket FENCE.
+	// Fence synthesis: the static cut vs the dynamic repair loop (-exp
+	// relsec's scan sequence) vs blanket FENCE.
 	StaticSites  int
 	DynIters     int
 	DynSites     int
@@ -108,19 +108,21 @@ func (h *Harness) StaticFlow() (*StaticFlowReport, error) {
 	}
 	rep.StaticOnly = rep.StaticFindings - (rep.DynFindings - rep.MissingDyn)
 
-	// Witness coverage: same seed as -exp relsec, so this is the same
-	// distinguishing trace that experiment exhibits.
-	wit, err := h.relsecWitness(CellSeed(h.Opt.Seed, "relsec", "witness"))
+	// Witness coverage: -exp relsec's memoized distinguishing trace.
+	wit, err := h.witness()
 	if err != nil {
 		return rep, fmt.Errorf("staticflow witness: %w", err)
 	}
 	rep.WitnessGadget, rep.WitnessPC = wit.Gadget, wit.EventA.PC
 	rep.WitnessFlagged = static.HasPC(wit.EventA.PC)
 
-	// Dynamic repair loop, replayed scan-only under -exp relsec's seeds:
-	// identical iteration order and fence accumulation, without re-paying
-	// the 163 differential re-verifications.
-	dynRanges := h.staticflowDynReplay(rep)
+	// Dynamic repair loop: -exp relsec's memoized scan sequence, priced
+	// without re-paying its differential re-verifications.
+	scan := h.repairScan()
+	rep.DynIters, rep.BlanketSites = len(scan.steps), scan.blanket
+	for _, f := range scan.steps {
+		rep.DynSites += scanner.FenceSites(h.Img.FuncByID(f.FuncID))
+	}
 
 	// The static cut, judged by the same differential oracle the dynamic
 	// loop used: every driveable gadget's secret pair under the static
@@ -137,7 +139,7 @@ func (h *Harness) StaticFlow() (*StaticFlowReport, error) {
 	if rep.StaticCycles, err = h.relsecCycles(staticRanges, false); err != nil {
 		return rep, err
 	}
-	if rep.DynamicCycles, err = h.relsecCycles(dynRanges, false); err != nil {
+	if rep.DynamicCycles, err = h.relsecCycles(scan.ranges, false); err != nil {
 		return rep, err
 	}
 	if rep.BlanketCycles, err = h.relsecCycles(nil, true); err != nil {
@@ -190,39 +192,6 @@ func (h *Harness) staticflowAnalyze() (*staticflow.Report, error) {
 	}
 }
 
-// staticflowDynReplay replays -exp relsec's repair loop scan-only (same
-// seeds, same iteration order, same fence accumulation) and fills in the
-// dynamic-loop comparison columns. It returns the converged dynamic range
-// set for pricing.
-func (h *Harness) staticflowDynReplay(rep *StaticFlowReport) []schemes.VARange {
-	img := h.Img
-	seed := CellSeed(h.Opt.Seed, "relsec", "repair")
-	scope := allFuncIDs(img)
-	hardened := map[int]bool{}
-	var ranges []schemes.VARange
-	for iter := 1; iter <= len(scope); iter++ {
-		live := scope[:0:0]
-		for _, id := range scope {
-			if !hardened[id] {
-				live = append(live, id)
-			}
-		}
-		sc := scanner.Scan(img, live, CellSeed(seed, "scan", fmt.Sprint(iter)))
-		if len(sc.Findings) == 0 {
-			break
-		}
-		f := img.FuncByID(sc.Findings[0].FuncID)
-		hardened[f.ID] = true
-		ranges = insertRange(ranges, schemes.VARange{Start: f.VA, End: f.End()})
-		rep.DynIters = iter
-		rep.DynSites += scanner.FenceSites(f)
-	}
-	for _, id := range scope {
-		rep.BlanketSites += scanner.FenceSites(img.FuncByID(id))
-	}
-	return ranges
-}
-
 // staticflowVerify drives every driveable census gadget's secret pair under
 // the static selective fences, sharded on the cell engine, and records the
 // trace-equivalence verdict.
@@ -239,7 +208,6 @@ func (h *Harness) staticflowVerify(rep *StaticFlowReport, ranges []schemes.VARan
 	type verdict struct {
 		diverged int
 		firstDiv string
-		err      error
 	}
 	specs := make([]CellSpec, 0, shards)
 	for s := 0; s < shards; s++ {
@@ -249,27 +217,13 @@ func (h *Harness) staticflowVerify(rep *StaticFlowReport, ranges []schemes.VARan
 		lo := i * len(targets) / shards
 		hi := (i + 1) * len(targets) / shards
 		shard := targets[lo:hi]
-		sA, sB := relsecSecrets(spec.seed(h.Opt.Seed))
-		run := func(secret byte) (relsecRun, error) {
-			k, err := h.BootMachine(kernel.DefaultConfig())
-			if err != nil {
-				return relsecRun{}, err
-			}
-			defer k.Release()
-			k.Core.Policy = &schemes.SelectiveFencePolicy{Ranges: ranges}
-			return relsecDrive(k, secret, shard, relsecCellCap)
-		}
 		var v verdict
-		a, err := run(sA)
+		diverged, err := h.fencedPairDiverged(shard, ranges, spec.seed(h.Opt.Seed))
 		if err != nil {
-			return v, fmt.Errorf("member A: %w", err)
+			return v, err
 		}
-		b, err := run(sB)
-		if err != nil {
-			return v, fmt.Errorf("member B: %w", err)
-		}
-		for j := range shard {
-			if a.marks[j] != b.marks[j] {
+		for j, d := range diverged {
+			if d {
 				v.diverged++
 				if v.firstDiv == "" {
 					v.firstDiv = shard[j].Name

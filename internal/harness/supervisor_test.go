@@ -166,7 +166,7 @@ func TestExperimentRegistry(t *testing.T) {
 	for _, name := range []string{
 		"table4.1", "table7.1", "table8.1", "table8.2", "table9.1", "table10.1",
 		"fig9.1", "fig9.2", "fig9.3", "taillats", "poc", "sensitivity",
-		"cache-sweep", "hw-compare", "faultsweep", "relsec",
+		"cache-sweep", "hw-compare", "faultsweep", "relsec", "staticflow",
 	} {
 		if _, ok := FindExperiment(name); !ok {
 			t.Errorf("experiment %q missing from registry", name)

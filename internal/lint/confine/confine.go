@@ -11,16 +11,21 @@
 // import path, and Type is the method's receiver or the struct declaring the
 // field, through one pointer. A name counts wherever a selector resolves to
 // it — called, taken as a method value or method expression, or read or
-// written as a field — in any top-level declaration, var initializers
-// included. A function literal shares the standing of the declaration it
-// sits in: a closure inside an allowed function is part of it.
+// written as a field — and wherever it keys a struct literal, in any
+// top-level declaration, var initializers included. A method named through
+// an interface counts as each confined method of that name whose type, or a
+// pointer to it, implements the interface. A function literal shares the
+// standing of the declaration it sits in: a closure inside an allowed
+// function is part of it.
 package confine
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path"
 	"slices"
+	"strings"
 
 	"repro/internal/lint/analysis"
 )
@@ -136,8 +141,9 @@ var rules = []rule{
 	},
 }
 
-// check reports every selector in pass that names a confined method or
-// field of one of rows outside that row's allowed functions.
+// check reports every selector or struct-literal key in pass that names a
+// confined method or field of one of rows outside that row's allowed
+// functions.
 func check(pass *analysis.Pass, rows []rule) {
 	pkg := path.Base(pass.Pkg.Path())
 	for _, file := range pass.Files {
@@ -159,32 +165,84 @@ func check(pass *analysis.Pass, rows []rule) {
 // walk checks the declaration root of the function or variable id.
 func walk(pass *analysis.Pass, pkg string, rows []rule, root ast.Node, id *ast.Ident) {
 	in := qualify(pass.TypesInfo.Defs[id], nil)
-	ast.Inspect(root, func(n ast.Node) bool {
-		se, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		sel := pass.TypesInfo.Selections[se]
-		if sel == nil || sel.Obj().Pkg() == nil {
-			return true
-		}
-		// A promoted field belongs to the embedded struct its path ends in.
-		owner := sel.Recv()
-		for _, i := range sel.Index()[:len(sel.Index())-1] {
-			if p, ok := owner.Underlying().(*types.Pointer); ok {
-				owner = p.Elem()
-			}
-			owner = owner.Underlying().(*types.Struct).Field(i).Type()
-		}
-		name := qualify(sel.Obj(), owner)
+	report := func(pos token.Pos, obj types.Object, names ...string) {
 		for _, r := range rows {
-			if slices.Contains(r.names, name) && (r.pkgs == nil || slices.Contains(r.pkgs, pkg)) &&
-				!slices.Contains(r.allowed, in) {
-				pass.Reportf(se.Pos(), r.format, name, sel.Obj().Name(), in)
+			for _, name := range names {
+				if slices.Contains(r.names, name) && (r.pkgs == nil || slices.Contains(r.pkgs, pkg)) &&
+					!slices.Contains(r.allowed, in) {
+					pass.Reportf(pos, r.format, name, obj.Name(), in)
+				}
+			}
+		}
+	}
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			sel := pass.TypesInfo.Selections[n]
+			if sel == nil || sel.Obj().Pkg() == nil {
+				return true
+			}
+			if m, ok := sel.Obj().(*types.Func); ok && types.IsInterface(m.Type().(*types.Signature).Recv().Type()) {
+				report(n.Pos(), m, implementers(pass.Pkg, rows, m)...)
+				return true
+			}
+			// A promoted field belongs to the embedded struct its path ends in.
+			owner := sel.Recv()
+			for _, i := range sel.Index()[:len(sel.Index())-1] {
+				if p, ok := owner.Underlying().(*types.Pointer); ok {
+					owner = p.Elem()
+				}
+				owner = owner.Underlying().(*types.Struct).Field(i).Type()
+			}
+			report(n.Pos(), sel.Obj(), qualify(sel.Obj(), owner))
+		case *ast.CompositeLit:
+			// A keyed struct literal names its fields without a selector.
+			for _, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						if f, ok := pass.TypesInfo.Uses[key].(*types.Var); ok && f.IsField() {
+							report(key.Pos(), f, qualify(f, pass.TypesInfo.TypeOf(n)))
+						}
+					}
+				}
 			}
 		}
 		return true
 	})
+}
+
+// implementers returns the confined names an interface method m can stand
+// for: each "pkg.Type.Name" of rows with m's Name whose Type, or a pointer
+// to it, implements m's interface. Type is looked up in from and the
+// packages it imports, directly or not.
+func implementers(from *types.Package, rows []rule, m *types.Func) []string {
+	iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+	var out []string
+	for _, r := range rows {
+		for _, name := range r.names {
+			parts := strings.Split(name, ".")
+			if parts[2] != m.Name() || slices.Contains(out, name) {
+				continue
+			}
+			seen := map[*types.Package]bool{}
+			var implements func(p *types.Package) bool
+			implements = func(p *types.Package) bool {
+				if seen[p] {
+					return false
+				}
+				seen[p] = true
+				if tn, ok := p.Scope().Lookup(parts[1]).(*types.TypeName); ok && path.Base(p.Path()) == parts[0] &&
+					(types.Implements(tn.Type(), iface) || types.Implements(types.NewPointer(tn.Type()), iface)) {
+					return true
+				}
+				return slices.ContainsFunc(p.Imports(), implements)
+			}
+			if implements(from) {
+				out = append(out, name)
+			}
+		}
+	}
+	return out
 }
 
 // qualify renders obj as "pkg.Type.Name". Type is a method's receiver, else

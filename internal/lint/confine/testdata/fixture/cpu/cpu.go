@@ -90,6 +90,29 @@ func (t tracer) enabled() bool {
 	return !t.l0off // want `L0 micro-cache state l0off touched in cpu\.tracer\.enabled`
 }
 
+// newCore sets L0 state in a keyed composite literal: the key names the field
+// with no selector. Keys of fields no row confines pass.
+func newCore(m *memsim.Mem) *Core {
+	return &Core{Mem: m, l0off: true} // want `L0 micro-cache state l0off touched in cpu\.newCore`
+}
+
+// loader has a confined method's name and signature, so *memsim.Mem
+// implements it; peeker has a confined name with another signature, so
+// nothing confined implements it.
+type loader interface {
+	LoadPA(pa uint64, size uint8) uint64
+}
+type peeker interface {
+	Read64(va uint64, size uint8) uint64
+}
+
+// viaInterface reaches the memsim read API through an interface: the call
+// still reads simulated memory around the check API.
+func (c *Core) viaInterface(pa uint64, p peeker) uint64 {
+	var l loader = c.Mem
+	return l.LoadPA(pa, 8) + p.Read64(pa, 8) // want `direct memsim\.Mem\.LoadPA read in cpu\.Core\.viaInterface`
+}
+
 // debugDump carries the escape hatch with a reason, once per row it crosses.
 func (c *Core) debugDump(pa uint64) (uint64, bool) {
 	//lint:allow confine -- fixture: debug dump, never on the simulated path

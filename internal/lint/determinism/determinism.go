@@ -43,7 +43,7 @@ var seedlessConstructors = map[string]bool{
 
 func run(pass *analysis.Pass) error {
 	// Scope: the determinism contract covers the simulator's internal/
-	// packages; cmd/ tooling (benchreport wall-clock timing) is exempt.
+	// packages; cmd/ tooling (host-side CLIs and reports) is exempt.
 	if !strings.Contains(pass.Pkg.Path(), "internal/") {
 		return nil
 	}

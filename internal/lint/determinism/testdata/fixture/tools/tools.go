@@ -1,5 +1,5 @@
 // Package tools sits outside internal/: the determinism contract does not
-// apply here (cf. cmd/benchreport's wall-clock measurements), so nothing in
+// apply here (cf. the host-side tools under cmd/), so nothing in
 // this file is flagged.
 package tools
 
