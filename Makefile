@@ -123,9 +123,10 @@ benchdiff:
 	$(GO) run ./cmd/benchreport -diff BENCH_hostperf.json
 
 # benchdiffsmoke is the `make check` form: a fast run that only verifies
-# every committed benchmark still exists and that the committed ledger holds
-# a correct simbench result for each recorded workload (timing at
-# -benchtime=10x is too noisy to gate on, so it doesn't).
+# that the fresh benchmark names match the ledger's both ways (none missing,
+# none ungated) and that the committed ledger holds a correct simbench
+# result for each recorded workload (timing at -benchtime=10x is too noisy
+# to gate on, so it doesn't).
 benchdiffsmoke:
 	$(GO) run ./cmd/benchreport -diff BENCH_hostperf.json -benchtime 10x -diff-names-only
 

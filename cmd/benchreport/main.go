@@ -253,10 +253,11 @@ func readReport(path string) (Report, error) {
 }
 
 // runDiff re-runs the micro benchmarks and compares them name-by-name
-// against a committed report. namesOnly skips the timing gate: it verifies
-// that every committed benchmark still exists and that the report holds a
-// correct simbench result for every recorded workload — a deterministic
-// smoke check cheap enough for `make check`.
+// against a committed report. The two name sets must match: a committed
+// benchmark missing from the fresh run and a fresh one the report does not
+// gate both fail. namesOnly skips the timing gate: it verifies the names and
+// that the report holds a correct simbench result for every recorded
+// workload — a deterministic smoke check cheap enough for `make check`.
 func runDiff(path, benchtime string, namesOnly bool) error {
 	base, err := readReport(path)
 	if err != nil {
@@ -284,17 +285,31 @@ func runDiff(path, benchtime string, namesOnly bool) error {
 	for i := range fresh {
 		freshBy[fresh[i].Name] = &fresh[i]
 	}
-	var missing []string
+	var missing, ungated []string
+	committed := make(map[string]bool, len(base.Micro))
 	for _, m := range base.Micro {
+		committed[m.Name] = true
 		if freshBy[m.Name] == nil {
 			missing = append(missing, m.Name)
 		}
 	}
+	for _, m := range fresh {
+		if !committed[m.Name] {
+			ungated = append(ungated, m.Name)
+		}
+	}
+	var problems []string
 	if len(missing) > 0 {
-		return fmt.Errorf("%d committed benchmark(s) missing from fresh run: %v", len(missing), missing)
+		problems = append(problems, fmt.Sprintf("committed benchmark(s) missing from the fresh run: %v", missing))
+	}
+	if len(ungated) > 0 {
+		problems = append(problems, fmt.Sprintf("fresh benchmark(s) the ledger does not gate: %v", ungated))
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("%s: %s", path, strings.Join(problems, "; "))
 	}
 	if namesOnly {
-		fmt.Printf("benchdiff: %d committed benchmark(s) present, simbench results for %v correct\n",
+		fmt.Printf("benchdiff: %d benchmark(s) match the ledger, simbench results for %v correct\n",
 			len(base.Micro), simbenchWorkloads)
 		return nil
 	}

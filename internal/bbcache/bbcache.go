@@ -62,9 +62,9 @@ type Program struct {
 }
 
 // Build decodes the linked text (flat indexed by (va-base)/InstBytes, valid
-// marking linked slots — the same aliased arrays cpu.SetKernelText takes)
-// into a Program. entries lists additional guaranteed leaders (function
-// entry VAs). version is the kimage text version the decode is valid for.
+// marking linked slots, as kimage.Image holds them) into a Program. entries
+// lists additional guaranteed leaders (function entry VAs). version is the
+// kimage text version the decode is valid for.
 func Build(base uint64, flat []isa.Inst, valid []bool, entries []uint64, version uint64) *Program {
 	n := len(flat)
 	p := &Program{

@@ -7,11 +7,12 @@ import (
 	"repro/internal/isa"
 )
 
-// benchProgram builds a loop body shaped like a syscall handler's hot
+// benchWorld builds a loop body shaped like a syscall handler's hot
 // stretch: ALU work, loads and stores through the direct map, and a
-// backward branch. Returns the entry VA and retired-instruction count per
-// Run call.
-func benchWorld(b *testing.B) (*world, uint64) {
+// backward branch. With threaded set, the loop is also pre-decoded for block
+// dispatch. Returns the world after one warm run, so the bench loop
+// measures a steady-state machine, and the entry VA.
+func benchWorld(b *testing.B, threaded bool) (*world, uint64) {
 	w := newWorld()
 	a := isa.NewAsm()
 	a.MovImm(isa.R2, 0)                 // i = 0
@@ -25,55 +26,9 @@ func benchWorld(b *testing.B) (*world, uint64) {
 	a.Branch(isa.CLT, isa.R2, isa.R3, "loop")
 	a.Halt()
 	w.code.place(entry, a.MustBuild())
-	// One warm run so the bench loop measures a steady-state machine.
-	if res := w.core.Run(entry, 100000); res.Fault || res.Truncated {
-		b.Fatalf("warmup run: %+v", res)
-	}
-	return w, entry
-}
-
-// BenchmarkIssueLoop measures single-op dispatch with every fetch going
-// through the CodeSource interface (no kernel-text array, no decoded
-// program) — fetch, decode into a one-op block, execute, timing charge —
-// over a tight load/store loop. ns/op divided by ~503 retired instructions
-// gives the per-instruction host cost.
-func BenchmarkIssueLoop(b *testing.B) {
-	w, pc := benchWorld(b)
-	b.ResetTimer()
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		res := w.core.Run(pc, 100000)
-		if res.Fault {
-			b.Fatal("fault")
-		}
-		insts += res.Insts
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
-}
-
-// dispatchWorld is benchWorld with the program also installed as flat
-// kernel text, optionally pre-decoded for block dispatch. The program,
-// memory layout, and warmup are identical across the pair, so the
-// Interp/Threaded delta isolates dispatch cost: fetching and decoding every
-// instruction into a one-op block vs replaying chained pre-decoded blocks.
-func dispatchWorld(b *testing.B, threaded bool) (*world, uint64) {
-	w := newWorld()
-	a := isa.NewAsm()
-	a.MovImm(isa.R2, 0)
-	a.MovImm(isa.R3, 100)
-	a.MovImm(isa.R4, int64(dm(0x2000)))
-	a.Label("loop")
-	a.Load(isa.R5, isa.R4, 0)
-	a.AddImm(isa.R5, isa.R5, 1)
-	a.Store(isa.R4, 0, isa.R5)
-	a.AddImm(isa.R2, isa.R2, 1)
-	a.Branch(isa.CLT, isa.R2, isa.R3, "loop")
-	a.Halt()
-	w.code.place(entry, a.MustBuild())
-	base, flat, valid := flatten(w.code)
-	w.core.SetKernelText(base, flat, valid)
 	if threaded {
-		prog := bbcache.Build(entry, flat, valid, []uint64{entry}, 1)
+		base, flat, valid := flatten(w.code)
+		prog := bbcache.Build(base, flat, valid, []uint64{entry}, 1)
 		if prog.NumBlocks() == 0 {
 			b.Fatal("no blocks decoded")
 		}
@@ -88,8 +43,8 @@ func dispatchWorld(b *testing.B, threaded bool) (*world, uint64) {
 	return w, entry
 }
 
-func benchDispatch(b *testing.B, threaded bool) {
-	w, pc := dispatchWorld(b, threaded)
+func benchLoop(b *testing.B, threaded bool) {
+	w, pc := benchWorld(b, threaded)
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
@@ -102,13 +57,17 @@ func benchDispatch(b *testing.B, threaded bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
 }
 
-// BenchmarkDispatchInterp times single-op dispatch and
-// BenchmarkDispatchThreaded block dispatch of the same hot loop; compare
-// their ns/inst to read off the block-dispatch saving in isolation from
-// policy, wrong-path, and kernel effects. The Interp name is kept so the
-// committed benchmark trajectory stays comparable by name.
-func BenchmarkDispatchInterp(b *testing.B)   { benchDispatch(b, false) }
-func BenchmarkDispatchThreaded(b *testing.B) { benchDispatch(b, true) }
+// BenchmarkIssueLoop measures single-op dispatch — fetch through the
+// CodeSource interface, decode into a one-op block, execute, timing charge —
+// over a tight load/store loop. ns/op divided by ~503 retired instructions
+// gives the per-instruction host cost.
+func BenchmarkIssueLoop(b *testing.B) { benchLoop(b, false) }
+
+// BenchmarkDispatchThreaded runs BenchmarkIssueLoop's program, memory layout
+// and warmup through block dispatch of the pre-decoded loop; compare the two
+// benchmarks' ns/inst to read off the block-dispatch saving in isolation
+// from policy, wrong-path, and kernel effects.
+func BenchmarkDispatchThreaded(b *testing.B) { benchLoop(b, true) }
 
 // BenchmarkAccessL0 measures the committed-path data access with the L0
 // line-lookaside warm: every access is a micro-cache hit that replays the
@@ -136,10 +95,10 @@ func BenchmarkAccessL0(b *testing.B) {
 	}
 }
 
-// transientWorld is dispatchWorld with a data-dependent branch the predictor
-// cannot learn: every iteration loads an irregular value and branches on its
-// parity, so mispredicts open transient windows throughout and the wrong
-// path replays the pre-decoded DOps.
+// transientWorld is benchWorld's block-dispatch form with a data-dependent
+// branch the predictor cannot learn: every iteration loads an irregular
+// value and branches on its parity, so mispredicts open transient windows
+// throughout and the wrong path replays the pre-decoded DOps.
 func transientWorld(b *testing.B) (*world, uint64) {
 	w := newWorld()
 	for i := uint64(0); i < 128; i++ {
@@ -164,8 +123,7 @@ func transientWorld(b *testing.B) (*world, uint64) {
 	a.Halt()
 	w.code.place(entry, a.MustBuild())
 	base, flat, valid := flatten(w.code)
-	w.core.SetKernelText(base, flat, valid)
-	prog := bbcache.Build(entry, flat, valid, []uint64{entry}, 1)
+	prog := bbcache.Build(base, flat, valid, []uint64{entry}, 1)
 	if prog.NumBlocks() == 0 {
 		b.Fatal("no blocks decoded")
 	}

@@ -231,14 +231,6 @@ type Core struct {
 	Policy Policy
 	Tracer Tracer
 
-	// Kernel-text fast path: a contiguous decoded-instruction array the
-	// fetch loop indexes directly, bypassing the CodeSource interface call
-	// for the common case (kernel code dominates every workload). Filled by
-	// SetKernelText; fetches outside it fall back to Code.FetchInst.
-	ktextBase  uint64
-	ktext      []isa.Inst
-	ktextValid []bool
-
 	// Fault, when set, injects microarchitectural faults: spurious
 	// squashes at resolved branches and delayed view-context switches.
 	Fault FaultHook
@@ -331,27 +323,6 @@ func New(cfg Config, code CodeSource, mem *memsim.Mem, h *cache.Hierarchy, bp *p
 	}
 	return c
 }
-
-// SetKernelText installs the decoded kernel image for direct-indexed fetch.
-// flat is indexed by (va-base)/InstBytes; valid marks linked slots. The
-// arrays are aliased, not copied — they must stay immutable while the core
-// runs (the kernel image already guarantees this). Purely a host-side fetch
-// shortcut: results are identical to routing every fetch through Code.
-func (c *Core) SetKernelText(base uint64, flat []isa.Inst, valid []bool) {
-	c.ktextBase, c.ktext, c.ktextValid = base, flat, valid
-}
-
-// fetch resolves one instruction, preferring the direct kernel-text array.
-// A pc below the base wraps the subtraction to a huge index and takes the
-// slow path; the split keeps the common case within the inlining budget.
-func (c *Core) fetch(pc uint64) *isa.Inst {
-	if idx := (pc - c.ktextBase) / isa.InstBytes; pc%isa.InstBytes == 0 && idx < uint64(len(c.ktext)) && c.ktextValid[idx] {
-		return &c.ktext[idx]
-	}
-	return c.fetchSlow(pc)
-}
-
-func (c *Core) fetchSlow(pc uint64) *isa.Inst { return c.Code.FetchInst(pc) }
 
 // Now reports the current simulated cycle.
 func (c *Core) Now() float64 { return c.now }

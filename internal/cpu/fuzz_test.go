@@ -50,7 +50,9 @@ func fuzzProgram(data []byte) ([]isa.Inst, []bool) {
 // fuzzWorld builds one world around the synthesized program, with a few
 // registers seeded to point into mapped memory (so loads/stores sometimes
 // hit, sometimes chase pointers, sometimes fault) and the rest to small
-// integers. Both members of a pair run this identically.
+// integers. Only the valid slots are placed in the world's code source, so
+// single-op dispatch fetches exactly the words block dispatch decodes. Both
+// members of a pair run this identically.
 func fuzzWorld(insts []isa.Inst, valid []bool, threaded bool) *world {
 	w := newWorld()
 	for r := 2; r < 10; r++ {
@@ -61,13 +63,13 @@ func fuzzWorld(insts []isa.Inst, valid []bool, threaded bool) *world {
 	for r := 10; r < 18; r++ {
 		w.core.Regs[r] = uint64(r*17 + 3)
 	}
-	flat := make([]isa.Inst, len(insts))
-	copy(flat, insts)
-	v := make([]bool, len(valid))
-	copy(v, valid)
-	w.core.SetKernelText(entry, flat, v)
+	for i, ok := range valid {
+		if ok {
+			w.code.place(entry+uint64(i)*isa.InstBytes, insts[i:i+1])
+		}
+	}
 	if threaded {
-		prog := bbcache.Build(entry, flat, v, nil, 1)
+		prog := bbcache.Build(entry, insts, valid, nil, 1)
 		w.core.SetThreadedSource(func() *bbcache.Program { return prog })
 	}
 	return w

@@ -163,7 +163,7 @@ func ExplainDivergence(c *Core, fast, ref *StepTrace, idx int) *Divergence {
 		d.PC = d.RefPC
 	}
 	d.Op = "<unfetchable>"
-	if in := c.fetch(d.PC); in != nil {
+	if in := c.Code.FetchInst(d.PC); in != nil {
 		dop := isa.DecodeInst(in, d.PC)
 		d.Op = dop.String()
 	}

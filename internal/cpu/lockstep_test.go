@@ -9,7 +9,7 @@ import (
 )
 
 // flatten converts a mapCode into the contiguous (base, flat, valid) form
-// SetKernelText and bbcache.Build take.
+// bbcache.Build takes.
 func flatten(mc *mapCode) (uint64, []isa.Inst, []bool) {
 	var lo, hi uint64
 	first := true
@@ -48,14 +48,11 @@ func lockstepPair(t *testing.T, build func(w *world)) (fast, ref *world) {
 	build(fast)
 	build(ref)
 	base, flat, valid := flatten(fast.code)
-	fast.core.SetKernelText(base, flat, valid)
 	prog := bbcache.Build(base, flat, valid, nil, 1)
 	if prog.NumBlocks() == 0 {
 		t.Fatal("no blocks decoded")
 	}
 	fast.core.SetThreadedSource(func() *bbcache.Program { return prog })
-	rbase, rflat, rvalid := flatten(ref.code)
-	ref.core.SetKernelText(rbase, rflat, rvalid)
 	return fast, ref
 }
 

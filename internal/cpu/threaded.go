@@ -40,7 +40,7 @@ type oneOpBlock struct {
 // fetch of kernel text (SMEP), or a word outside the ISA, which the core
 // treats as the fetch fault it is rather than executing.
 func (c *Core) decodeOne(pc uint64, dst *oneOpBlock) *bbcache.Block {
-	inst := c.fetch(pc)
+	inst := c.Code.FetchInst(pc)
 	if inst == nil || (!c.kernelMode && memsim.IsKernel(pc)) {
 		return nil
 	}

@@ -280,42 +280,32 @@ const (
 // transient-execution code reads simulated memory directly, so a new
 // speculation feature cannot bypass the defenses this path consults.
 func (c *Core) specLoad(pc, va uint64, size uint8, addrTainted bool) (uint64, specLoadStatus) {
-	// UNSAFE-baseline fast path: with AllowAll the policy consult is a
-	// stateless Allow and, with no recorder attached, the L1 probe feeds
-	// nothing — so the Access fill, interface call, and Lookup all fold
-	// away. Fault ordering is unchanged: AllowAll never blocks, so the
-	// original path would reach the same specLoadFault/OK outcomes.
-	if _, unsafe := c.Policy.(AllowAll); unsafe && c.Obs == nil {
-		pa, okA := c.Mem.Resolve(va, size)
-		if !okA {
-			return 0, specLoadFault
-		}
-		c.H.AccessData(pa, false)
-		if c.SecCheck != nil {
-			c.SecCheck.TransientFill(c.ctx, pc, va, c.kernelMode)
-		}
-		if s, okS := c.tbufLookup(va); okS && s.size == size {
-			return s.val, specLoadOK
-		}
-		return c.Mem.LoadPA(pa, size), specLoadOK
-	}
-	c.acc = Access{
-		PC: pc, VA: va, IsLoad: true, Ctx: c.ctx, Kernel: c.kernelMode,
-		Transient:   true,
-		AddrTainted: addrTainted,
-	}
+	// Under the UNSAFE baseline the consult is AllowAll's stateless Allow,
+	// so it and its Access fill fold away, and the L1 probe runs only when
+	// a recorder reads it. AllowAll never blocks, so the fault and fill
+	// order below is the gated path's.
+	_, unsafe := c.Policy.(AllowAll)
 	pa, okA := c.Mem.Resolve(va, size)
-	if okA {
-		c.acc.L1Hit = c.H.L1D.Lookup(pa)
+	l1Hit := false
+	if okA && (!unsafe || c.Obs != nil) {
+		l1Hit = c.H.L1D.Lookup(pa)
 	}
-	if c.Policy.OnTransmit(&c.acc) != Allow {
-		c.Stats.TransientFences++
-		return 0, specLoadBlocked
+	if !unsafe {
+		c.acc = Access{
+			PC: pc, VA: va, IsLoad: true, Ctx: c.ctx, Kernel: c.kernelMode,
+			Transient:   true,
+			AddrTainted: addrTainted,
+			L1Hit:       l1Hit,
+		}
+		if c.Policy.OnTransmit(&c.acc) != Allow {
+			c.Stats.TransientFences++
+			return 0, specLoadBlocked
+		}
 	}
 	if !okA {
 		return 0, specLoadFault
 	}
-	if c.Obs != nil && !c.acc.L1Hit {
+	if c.Obs != nil && !l1Hit {
 		// Only a load that misses the L1 changes microarchitectural state
 		// (which is exactly why Delay-on-Miss may allow the hits), so only
 		// misses enter the observation trace. Recorded before the fill so a

@@ -267,8 +267,8 @@ func (h *Harness) freshBootDigest() (uint64, error) {
 }
 
 // Workloads returns LEBench plus the four applications. The list is built
-// once and shared: callers treat the returned slice as immutable (ServeApp
-// and the grid runners call this inside per-cell loops).
+// once and shared: callers treat the returned slice as immutable (the grid
+// runners call this inside per-cell loops).
 func (h *Harness) Workloads() []Workload {
 	h.wlsOnce.Do(func() {
 		out := []Workload{{

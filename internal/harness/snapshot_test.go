@@ -87,14 +87,15 @@ func TestFig92SnapshotVsFreshBoots(t *testing.T) {
 }
 
 // TestBootMachineConcurrent hammers the config-keyed snapshot cache from 8
-// goroutines (mixing two configs) and checks every clone behaves
+// goroutines, mixing the two configs the harness boots (DefaultConfig and
+// sensitivityCell's baseline slab), and checks every clone behaves
 // identically per config. Run under -race this pins the cache's
 // thread-safety contract for `-jobs N` cells.
 func TestBootMachineConcurrent(t *testing.T) {
 	h := New(QuickOptions())
-	cfgReplicate := kernel.DefaultConfig()
-	cfgReplicate.ReplicateFOps = true
-	configs := []kernel.Config{kernel.DefaultConfig(), cfgReplicate}
+	cfgBaselineSlab := kernel.DefaultConfig()
+	cfgBaselineSlab.SecureSlab = false
+	configs := []kernel.Config{kernel.DefaultConfig(), cfgBaselineSlab}
 
 	digests := make([]string, 8)
 	var wg sync.WaitGroup

@@ -75,8 +75,9 @@ func FuzzBBInvalidate(f *testing.F) {
 		}
 
 		// Undo log: restore every touched slot (reverse order) when the
-		// iteration ends, however it ends.
-		base, flat, valid := img.Text()
+		// iteration ends, however it ends. The replay applies a slot's
+		// first record last; a slot invalid there is a gap nothing fetches,
+		// so restoring it as an invalid zero word is exact.
 		type slotRec struct {
 			va    uint64
 			in    isa.Inst
@@ -84,8 +85,11 @@ func FuzzBBInvalidate(f *testing.F) {
 		}
 		var undo []slotRec
 		record := func(va uint64) {
-			idx := int(va-base) / isa.InstBytes
-			undo = append(undo, slotRec{va, flat[idx], valid[idx]})
+			r := slotRec{va: va}
+			if in := img.InstAt(va); in != nil {
+				r.in, r.valid = *in, true
+			}
+			undo = append(undo, r)
 		}
 		defer func() {
 			for i := len(undo) - 1; i >= 0; i-- {

@@ -45,10 +45,6 @@ type Config struct {
 	// SecureSlab selects Perspective's per-context slab allocator; false
 	// gives the baseline packing allocator (§6.1).
 	SecureSlab bool
-	// ReplicateFOps replicates file-operation tables per process so they
-	// join the process DSV; false leaves them as shared kernel globals
-	// ("unknown allocations", §6.1/§9.2).
-	ReplicateFOps bool
 	// Timing enables the ISA timing runs; functional-only mode is useful
 	// in tests.
 	Timing bool
@@ -61,12 +57,11 @@ type Config struct {
 }
 
 // DefaultConfig returns the standard simulation setup: 32MB of memory,
-// secure slab, replicated f_ops, timing on.
+// secure slab, timing on.
 func DefaultConfig() Config {
 	return Config{
 		Frames:             8192,
 		SecureSlab:         true,
-		ReplicateFOps:      true,
 		Timing:             true,
 		MaxInstsPerSyscall: 2_000_000,
 		TimingCopyCapWords: 4096,
@@ -162,7 +157,6 @@ func (k *Kernel) wireHardware() {
 	k.Mem = &memsim.Mem{Phys: k.Phys, Tr: &memsim.FixedTranslator{Size: k.Phys.Bytes(), AllowKernel: true}}
 	h := cache.NewDefaultHierarchy()
 	k.Core = cpu.New(cpu.DefaultConfig(), &codeSource{k: k}, k.Mem, h, predict.New())
-	k.Core.SetKernelText(k.Img.Text())
 	// Attach the pre-decoded program source: block dispatch re-checks the
 	// image's text version at every Run entry, so text patches invalidate
 	// cleanly (see kimage/decoded.go).

@@ -69,14 +69,13 @@ func TestCloneMatchesFreshBoot(t *testing.T) {
 	}
 }
 
-// TestCloneMatchesFreshBootNonDefaultConfigs covers the config axes the
-// harness actually boots: f_op replication and the baseline slab.
+// TestCloneMatchesFreshBootNonDefaultConfigs covers the config axis the
+// harness boots besides DefaultConfig: the baseline slab.
 func TestCloneMatchesFreshBootNonDefaultConfigs(t *testing.T) {
 	for _, mod := range []struct {
 		name string
 		mut  func(*Config)
 	}{
-		{"ReplicateFOps", func(c *Config) { c.ReplicateFOps = true }},
 		{"BaselineSlab", func(c *Config) { c.SecureSlab = false }},
 	} {
 		t.Run(mod.name, func(t *testing.T) {

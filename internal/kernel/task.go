@@ -45,7 +45,7 @@ type Task struct {
 
 	kstackVA  uint64 // vmalloc'd kernel stack base
 	replicaVA uint64 // per-process replica of hot globals
-	fopsVA    uint64 // per-process f_op tables (0 if not replicated)
+	fopsVA    uint64 // per-process f_op tables
 	pollVA    uint64 // per-process poll array page
 
 	// sharesAS marks threads (clone): teardown must not free shared state.
@@ -172,18 +172,14 @@ func (k *Kernel) CreateProcess(container string) (*Task, error) {
 	}
 	t.pollVA = memsim.DirectMapVA(pollPFN * memsim.PageSize)
 
-	// File-operation tables: replicated per process when configured
-	// (Perspective), shared kernel globals otherwise (baseline; their
-	// speculative access from user contexts is then blocked as unknown).
-	if k.Cfg.ReplicateFOps {
-		fopsPFN, err := alloc()
-		if err != nil {
-			return nil, err
-		}
-		t.fopsVA = memsim.DirectMapVA(fopsPFN * memsim.PageSize)
-	} else {
-		t.fopsVA = kimage.GlobalsVA() + 0x800 // shared, kernel-owned
+	// File-operation tables: replicated per process, so they join the
+	// process DSV instead of staying shared kernel globals that Perspective
+	// would block as unknown allocations (§6.1).
+	fopsPFN, err := alloc()
+	if err != nil {
+		return nil, err
 	}
+	t.fopsVA = memsim.DirectMapVA(fopsPFN * memsim.PageSize)
 	k.writeFOpsTables(t.fopsVA)
 
 	// Task-struct fields the ISA handlers load.
@@ -422,9 +418,7 @@ func (k *Kernel) Exit(t *Task) {
 	free(t.fdtPFN)
 	free((t.replicaVA - memsim.DirectMapBase) / memsim.PageSize)
 	free((t.pollVA - memsim.DirectMapBase) / memsim.PageSize)
-	if k.Cfg.ReplicateFOps {
-		free((t.fopsVA - memsim.DirectMapBase) / memsim.PageSize)
-	}
+	free((t.fopsVA - memsim.DirectMapBase) / memsim.PageSize)
 	t.State = TaskDead
 	delete(k.tasks, t.PID)
 	for i, rt := range k.runq {

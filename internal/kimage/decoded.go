@@ -6,8 +6,8 @@
 // (self-modifying kernels, fuzzers) bump the version with every PatchInst /
 // SetInstValid call, which strands the cached program; the next Decoded()
 // rebuilds from the current words. Patching is single-writer: it must not
-// race with a running core (the same rule SetKernelText already imposes,
-// since the core's fetch arrays alias the image).
+// race with a running core, whose single-op fetches read the same words
+// through InstAt.
 
 package kimage
 
@@ -25,9 +25,8 @@ func (img *Image) TextVersion() uint64 { return img.version }
 
 // PatchInst replaces the instruction word at va and bumps the text version.
 // The new instruction must be fully linked (no unresolved Sym); the slot
-// becomes valid. Cores fetch through aliased arrays, so single-op dispatch
-// sees the patch immediately; the decoded program sees it through the
-// version bump.
+// becomes valid. Single-op dispatch fetches through InstAt, so it sees the
+// patch immediately; the decoded program sees it through the version bump.
 func (img *Image) PatchInst(va uint64, in isa.Inst) error {
 	if in.Sym != "" {
 		return fmt.Errorf("kimage: PatchInst at %#x: unresolved symbol %q", va, in.Sym)

@@ -177,13 +177,6 @@ func link(funcs []*Func) (*Image, error) {
 	return img, nil
 }
 
-// Text exposes the linked text for direct-indexed fetch (cpu.SetKernelText):
-// flat is indexed by (va-base)/InstBytes, valid marks linked slots. Both
-// slices are immutable after linking; callers must not write through them.
-func (img *Image) Text() (base uint64, flat []isa.Inst, valid []bool) {
-	return img.base, img.flat, img.valid
-}
-
 // FetchInst returns the instruction at va by value (tests and tools).
 func (img *Image) FetchInst(va uint64) (isa.Inst, bool) {
 	if in := img.InstAt(va); in != nil {

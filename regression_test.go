@@ -24,7 +24,7 @@ func TestGoldenQuickScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second regression run")
 	}
-	hh := h(t)
+	hh := harness.New(harness.QuickOptions())
 
 	// Attack surface (Table 8.1 shape at quick scale).
 	rows81, err := hh.Table81()
