@@ -1,7 +1,8 @@
 // Package bbcache builds and caches the pre-decoded basic-block form of the
-// kernel image that the core's block dispatch (internal/cpu) runs. The text is decoded exactly once per image version: every maximal
-// straight-line run of instructions (gap/control to gap/control) is decoded
-// into one dense []isa.DOp arena slice, and every *leader* — a function
+// kernel image that the core's block dispatch (internal/cpu) runs. The text
+// is immutable after link, so it is decoded exactly once per image: every
+// maximal straight-line run of instructions (gap/control to gap/control) is
+// decoded into one dense []isa.DOp arena slice, and every *leader* — a function
 // entry, a branch/jump target, a fallthrough past a control instruction, or
 // the first slot after a gap — gets a Block that is a suffix view into its
 // run's slice. Suffix sharing keeps memory linear in the text size no matter
@@ -16,11 +17,8 @@
 // (ret, icall, ijmp) and targets outside the decoded text fall back to
 // BlockAt, and on a miss the core decodes the single word at the PC.
 //
-// A Program is immutable once built and carries the kimage text version it
-// was decoded from; patching text bumps the version, which makes every
-// cached Program stale at once (internal/kimage.Image.Decoded rebuilds on
-// demand). That is the entire invalidation protocol: there is no partial
-// invalidation to get wrong.
+// A Program is immutable once built; internal/kimage.Image.Decoded builds
+// it once and every machine cloned from the image shares it.
 package bbcache
 
 import "repro/internal/isa"
@@ -48,10 +46,9 @@ type Block struct {
 	FallPC uint64
 }
 
-// Program is the decoded form of one kernel text version.
+// Program is the decoded form of one kernel image's text.
 type Program struct {
-	base    uint64
-	version uint64
+	base uint64
 	// blocks is indexed by instruction slot ((va-base)/InstBytes); only
 	// leader slots are non-nil. Dense indexing keeps BlockAt to two
 	// compares and a load — it is on the block-transition path.
@@ -63,14 +60,12 @@ type Program struct {
 
 // Build decodes the linked text (flat indexed by (va-base)/InstBytes, valid
 // marking linked slots, as kimage.Image holds them) into a Program. entries
-// lists additional guaranteed leaders (function entry VAs). version is the
-// kimage text version the decode is valid for.
-func Build(base uint64, flat []isa.Inst, valid []bool, entries []uint64, version uint64) *Program {
+// lists additional guaranteed leaders (function entry VAs).
+func Build(base uint64, flat []isa.Inst, valid []bool, entries []uint64) *Program {
 	n := len(flat)
 	p := &Program{
-		base:    base,
-		version: version,
-		blocks:  make([]*Block, n),
+		base:   base,
+		blocks: make([]*Block, n),
 	}
 
 	// Pass 1: mark leaders. A slot leads a block if it is a function
@@ -193,9 +188,6 @@ func (p *Program) BlockAt(pc uint64) *Block {
 	}
 	return p.blocks[idx]
 }
-
-// Version reports the kimage text version this program was decoded from.
-func (p *Program) Version() uint64 { return p.version }
 
 // NumBlocks reports how many leader blocks were decoded.
 func (p *Program) NumBlocks() int { return p.nBlocks }

@@ -28,11 +28,11 @@ func benchWorld(b *testing.B, threaded bool) (*world, uint64) {
 	w.code.place(entry, a.MustBuild())
 	if threaded {
 		base, flat, valid := flatten(w.code)
-		prog := bbcache.Build(base, flat, valid, []uint64{entry}, 1)
+		prog := bbcache.Build(base, flat, valid, []uint64{entry})
 		if prog.NumBlocks() == 0 {
 			b.Fatal("no blocks decoded")
 		}
-		w.core.SetThreadedSource(func() *bbcache.Program { return prog })
+		w.core.SetProgram(prog)
 	}
 	if res := w.core.Run(entry, 100000); res.Fault || res.Truncated {
 		b.Fatalf("warmup run: %+v", res)
@@ -123,11 +123,11 @@ func transientWorld(b *testing.B) (*world, uint64) {
 	a.Halt()
 	w.code.place(entry, a.MustBuild())
 	base, flat, valid := flatten(w.code)
-	prog := bbcache.Build(base, flat, valid, []uint64{entry}, 1)
+	prog := bbcache.Build(base, flat, valid, []uint64{entry})
 	if prog.NumBlocks() == 0 {
 		b.Fatal("no blocks decoded")
 	}
-	w.core.SetThreadedSource(func() *bbcache.Program { return prog })
+	w.core.SetProgram(prog)
 	if res := w.core.Run(entry, 100000); res.Fault || res.Truncated {
 		b.Fatalf("warmup run: %+v", res)
 	}

@@ -137,10 +137,6 @@ type Policy interface {
 	// KernelCrossPenalty returns extra cycles per user/kernel crossing
 	// (how KPTI is modelled).
 	KernelCrossPenalty() int
-	// NoteKernelEntry tells the policy which context entered the kernel.
-	NoteKernelEntry(ctx sec.Ctx)
-	// Reset clears accumulated statistics.
-	Reset()
 }
 
 // TransientStoreGate is an optional Policy extension consulted before a
@@ -172,12 +168,6 @@ func (AllowAll) IndirectPenalty() int { return 0 }
 
 // KernelCrossPenalty implements Policy.
 func (AllowAll) KernelCrossPenalty() int { return 0 }
-
-// NoteKernelEntry implements Policy.
-func (AllowAll) NoteKernelEntry(sec.Ctx) {}
-
-// Reset implements Policy.
-func (AllowAll) Reset() {}
 
 // Stats aggregates core counters.
 type Stats struct {
@@ -280,11 +270,9 @@ type Core struct {
 	tstack []uint64
 	tone   oneOpBlock
 
-	// progSrc supplies the pre-decoded program block dispatch walks
-	// (SetThreadedSource); prog caches it for the duration of one Run. Nil
-	// runs every instruction through single-op dispatch.
-	progSrc func() *bbcache.Program
-	prog    *bbcache.Program
+	// prog is the pre-decoded program block dispatch walks (SetProgram).
+	// Nil runs every instruction through single-op dispatch.
+	prog *bbcache.Program
 	// one backs the committed path's single-op blocks (decodeOne).
 	// runTransient uses tone instead, so a squash inside a single-op
 	// dispatch cannot overwrite the op still executing.
@@ -355,7 +343,6 @@ func (c *Core) SetCtx(ctx sec.Ctx) {
 func (c *Core) EnterKernel() {
 	c.kernelMode = true
 	c.now += float64(c.Cfg.KernelEntryCost + c.Policy.KernelCrossPenalty())
-	c.Policy.NoteKernelEntry(c.ctx)
 	c.Stats.KernelEntries++
 }
 
@@ -426,10 +413,6 @@ func (c *Core) Run(entry uint64, maxInsts int) RunResult {
 	var res RunResult
 	baseDepth := len(c.callStack)
 	c.traceEnter(entry)
-	c.prog = nil
-	if c.progSrc != nil {
-		c.prog = c.progSrc()
-	}
 	c.runThreaded(entry, maxInsts, &res, baseDepth)
 	// Unwind any frames left by a truncated/faulted run.
 	if len(c.callStack) > baseDepth {
@@ -458,7 +441,7 @@ func (c *Core) traceEnter(va uint64) {
 // secret-dependent miss is itself a channel.
 func (c *Core) squashWindow(brPC, wrongPC uint64, resolve float64) {
 	c.BP.NoteMispredict(brPC, wrongPC)
-	c.runTransientChecked(wrongPC, c.transientBudget(resolve), resolve, brPC)
+	c.runTransientChecked(wrongPC, c.transientBudget(resolve), brPC)
 	if c.Obs != nil {
 		c.Obs.Record(obs.Event{Kind: obs.KindSquash, PC: brPC, Addr: wrongPC, Obs: math.Float64bits(resolve)})
 	}

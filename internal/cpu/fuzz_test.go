@@ -69,8 +69,7 @@ func fuzzWorld(insts []isa.Inst, valid []bool, threaded bool) *world {
 		}
 	}
 	if threaded {
-		prog := bbcache.Build(entry, insts, valid, nil, 1)
-		w.core.SetThreadedSource(func() *bbcache.Program { return prog })
+		w.core.SetProgram(bbcache.Build(entry, insts, valid, nil))
 	}
 	return w
 }

@@ -48,11 +48,11 @@ func lockstepPair(t *testing.T, build func(w *world)) (fast, ref *world) {
 	build(fast)
 	build(ref)
 	base, flat, valid := flatten(fast.code)
-	prog := bbcache.Build(base, flat, valid, nil, 1)
+	prog := bbcache.Build(base, flat, valid, nil)
 	if prog.NumBlocks() == 0 {
 		t.Fatal("no blocks decoded")
 	}
-	fast.core.SetThreadedSource(func() *bbcache.Program { return prog })
+	fast.core.SetProgram(prog)
 	return fast, ref
 }
 
@@ -266,7 +266,7 @@ func TestLockstepUserModeNeverDispatchesKernelBlocks(t *testing.T) {
 		k.Halt()
 		w.code.place(entry, k.MustBuild())
 	})
-	if fast.core.progSrc().BlockAt(entry) == nil {
+	if fast.core.prog.BlockAt(entry) == nil {
 		t.Fatal("no decoded block at the kernel target: the case is vacuous")
 	}
 	const userPC = uint64(0x40_0000)

@@ -21,12 +21,11 @@ import (
 	"repro/internal/memsim"
 )
 
-// SetThreadedSource installs the decoded-program source consulted at each
-// Run entry (kimage.Image.Decoded: rebuilds if the text version moved, else
-// returns the cached program). A nil source — the default — runs every
-// instruction through single-op dispatch; tests use that as the lockstep
-// reference.
-func (c *Core) SetThreadedSource(src func() *bbcache.Program) { c.progSrc = src }
+// SetProgram attaches the decoded program block dispatch walks (the
+// image's kimage.Image.Decoded, built once per image). A nil program — the
+// default — runs every instruction through single-op dispatch; tests use
+// that as the lockstep reference.
+func (c *Core) SetProgram(p *bbcache.Program) { c.prog = p }
 
 // oneOpBlock is the storage behind a decodeOne result: a single decoded
 // instruction presented as a block with no chained successors.
@@ -60,9 +59,7 @@ func (c *Core) decodeOne(pc uint64, dst *oneOpBlock) *bbcache.Block {
 // they are identically zero. Reading them through the plain arrays instead
 // of an R0-checking helper is therefore value-identical — max(x, 0) == x
 // for the non-negative times the scoreboard holds — and it lets every ALU
-// form share one general writeback tail: the *Z decode specializations
-// compute the same floats through the same operations, just with
-// provably-zero Rs2 terms.
+// form share one general writeback tail.
 
 // runThreaded executes committed-path instructions starting at pc until the
 // run ends: a terminating Halt, a return from the entry frame, a fault, or
@@ -148,19 +145,19 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, res *RunResult, baseDepth in
 			case isa.DNop:
 				c.commit(c.now)
 
-			case isa.DMov, isa.DMovZ:
+			case isa.DMov:
 				v, alu = c.Regs[op.Rs1], true
 
-			case isa.DAddImm, isa.DAddImmZ:
+			case isa.DAddImm:
 				v, alu = c.Regs[op.Rs1]+uint64(op.Imm), true
 
-			case isa.DAndImm, isa.DAndImmZ:
+			case isa.DAndImm:
 				v, alu = c.Regs[op.Rs1]&uint64(op.Imm), true
 
-			case isa.DShlImm, isa.DShlImmZ:
+			case isa.DShlImm:
 				v, alu = c.Regs[op.Rs1]<<(uint64(op.Imm)&63), true
 
-			case isa.DShrImm, isa.DShrImmZ:
+			case isa.DShrImm:
 				v, alu = c.Regs[op.Rs1]>>(uint64(op.Imm)&63), true
 
 			case isa.DMovImm:

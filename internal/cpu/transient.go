@@ -12,13 +12,13 @@ import (
 // "squash always rolls back wrong-path state" contract, which the
 // fault-injection campaigns stress). brPC is the squashed control
 // instruction, for attribution.
-func (c *Core) runTransientChecked(pc uint64, budget int, shadowEnd float64, brPC uint64) {
+func (c *Core) runTransientChecked(pc uint64, budget int, brPC uint64) {
 	if c.SecCheck == nil {
-		c.runTransient(pc, budget, shadowEnd)
+		c.runTransient(pc, budget)
 		return
 	}
 	saved := c.Regs
-	c.runTransient(pc, budget, shadowEnd)
+	c.runTransient(pc, budget)
 	c.SecCheck.SquashRestore(brPC, saved == c.Regs)
 }
 
@@ -46,7 +46,7 @@ func (c *Core) runTransientChecked(pc uint64, budget int, shadowEnd float64, brP
 // block misses go through decodeOne one instruction at a time, and its fetch
 // faults — unmapped, SMEP, undecodable word — end the wrong path as a quiet
 // squash.
-func (c *Core) runTransient(pc uint64, budget int, shadowEnd float64) {
+func (c *Core) runTransient(pc uint64, budget int) {
 	if budget <= 0 {
 		return
 	}
@@ -139,10 +139,9 @@ func (c *Core) runTransient(pc uint64, budget int, shadowEnd float64) {
 			// Immediates cannot be poisoned or tainted.
 			wr(op.Rd, isa.EvalALU(isa.AMovImm, regs[op.Rs1], regs[op.Rs2], op.Imm), false, false)
 
-		case isa.DMov, isa.DMovZ, isa.DAdd, isa.DAddImm, isa.DAddImmZ,
-			isa.DSub, isa.DAnd, isa.DAndImm, isa.DAndImmZ, isa.DOr,
-			isa.DXor, isa.DShlImm, isa.DShlImmZ, isa.DShrImm,
-			isa.DShrImmZ, isa.DALUGen:
+		case isa.DMov, isa.DAdd, isa.DAddImm, isa.DSub, isa.DAnd,
+			isa.DAndImm, isa.DOr, isa.DXor, isa.DShlImm, isa.DShrImm,
+			isa.DALUGen:
 			if poisoned[op.Rs1] || poisoned[op.Rs2] {
 				wr(op.Rd, 0, true, true)
 				break

@@ -65,7 +65,7 @@ func (h *Harness) recordCheckStream(views *Views) ([]uint64, error) {
 		return nil, err
 	}
 	defer k.Release()
-	rec := &pcRecorder{inner: k.Core.Policy}
+	rec := &pcRecorder{Policy: k.Core.Policy}
 	k.Core.Policy = rec
 	w := h.Workloads()[0]
 	if err := h.runWorkloadOnce(k, w); err != nil {
@@ -74,23 +74,19 @@ func (h *Harness) recordCheckStream(views *Views) ([]uint64, error) {
 	return rec.pcs, nil
 }
 
-// pcRecorder wraps a policy, recording every kernel-mode check's PC.
+// pcRecorder wraps a policy, recording every kernel-mode check's PC; every
+// other method is the wrapped policy's.
 type pcRecorder struct {
-	inner cpu.Policy
-	pcs   []uint64
+	cpu.Policy
+	pcs []uint64
 }
 
-func (r *pcRecorder) Name() string { return "pc-recorder" }
 func (r *pcRecorder) OnTransmit(a *cpu.Access) cpu.Verdict {
 	if a.Kernel {
 		r.pcs = append(r.pcs, a.PC)
 	}
-	return r.inner.OnTransmit(a)
+	return r.Policy.OnTransmit(a)
 }
-func (r *pcRecorder) IndirectPenalty() int      { return r.inner.IndirectPenalty() }
-func (r *pcRecorder) KernelCrossPenalty() int   { return r.inner.KernelCrossPenalty() }
-func (r *pcRecorder) NoteKernelEntry(c sec.Ctx) { r.inner.NoteKernelEntry(c) }
-func (r *pcRecorder) Reset()                    { r.inner.Reset() }
 
 // PrintCacheSweep renders the sweep.
 func PrintCacheSweep(w io.Writer, rows []CacheSweepRow) {

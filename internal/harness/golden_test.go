@@ -31,9 +31,21 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		t.Fatalf("missing golden (run with -update to create): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("%s: rendered report drifted from golden\n--- got ---\n%s\n--- want ---\n%s",
-			name, got, want)
+		g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		i := 0
+		for i < len(g) && i < len(w) && bytes.Equal(g[i], w[i]) {
+			i++
+		}
+		t.Errorf("%s: rendered report drifted from golden at line %d (got %d lines, want %d)\n got: %q\nwant: %q\n(-update rewrites the golden; git diff shows the whole change)",
+			name, i+1, len(g), len(w), lineAt(g, i), lineAt(w, i))
 	}
+}
+
+func lineAt(lines [][]byte, i int) []byte {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return nil
 }
 
 // The fixtures below are hand-built cells, not live runs: the goldens pin

@@ -123,13 +123,15 @@ type Harness struct {
 	wholeScan     scanner.Report // Fig 9.1's unbounded campaign
 	wholeScanOnce sync.Once
 
-	// -exp relsec's repair-loop scan sequence and distinguishing witness,
-	// which -exp staticflow compares itself against (see relsec.go).
+	// -exp relsec's repair-loop scan sequence, distinguishing witness and
+	// LEBench prices, which -exp staticflow compares itself against (see
+	// relsec.go).
 	repair      *repairSeq
 	repairOnce  sync.Once
 	wit         *RelSecWitness
 	witErr      error
 	witnessOnce sync.Once
+	prices      relsecPrices
 
 	pocAll      *isvgen.Result // PoC matrix: permissive view
 	pocHardened *isvgen.Result // PoC matrix: gadget-hardened view

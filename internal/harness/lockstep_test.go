@@ -35,7 +35,7 @@ func newLockstepKernels(t *testing.T, h *Harness, kind schemes.Kind) *lockstepKe
 		return k
 	}
 	lk := &lockstepKernels{fast: boot(), ref: boot()}
-	lk.ref.Core.SetThreadedSource(nil) // the reference dispatches one op at a time
+	lk.ref.Core.SetProgram(nil) // the reference dispatches one op at a time
 	lk.fast.Core.AttachStepTrace(&lk.ft)
 	lk.ref.Core.AttachStepTrace(&lk.rt)
 	return lk

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/attack"
 	"repro/internal/isa"
@@ -166,16 +167,42 @@ type relsecRun struct {
 	frBase uint64
 }
 
-// relsecMember boots one member of a secret pair under kind, plants the
-// member's secret byte, and drives every target gadget through the
+// relsecBoot builds one fresh member machine of a secret pair. The boot is
+// all that differs between the oracle's callers: a registered scheme
+// (schemeBoot), a selective-fence set (fenceBoot), or a test's variant.
+type relsecBoot func() (*kernel.Kernel, error)
+
+// schemeBoot boots members under a registered scheme; Perspective variants
+// get the permissive whole-kernel view, so their verdict rests on the DSV.
+func (h *Harness) schemeBoot(kind schemes.Kind) relsecBoot {
+	return func() (*kernel.Kernel, error) {
+		viewAll, _ := h.pocViews()
+		return h.newMachine(kind, viewAll)
+	}
+}
+
+// fenceBoot boots members under SelectiveFencePolicy over ranges, a policy
+// the scheme registry doesn't know about.
+func (h *Harness) fenceBoot(ranges []schemes.VARange) relsecBoot {
+	return func() (*kernel.Kernel, error) {
+		k, err := h.BootMachine(kernel.DefaultConfig())
+		if err != nil {
+			return nil, err
+		}
+		k.Core.Policy = &schemes.SelectiveFencePolicy{Ranges: ranges}
+		return k, nil
+	}
+}
+
+// relsecMember boots one member of a secret pair, plants the member's
+// secret byte, and drives every target gadget through the
 // mistrain→flush→out-of-bounds sequence, recording the observation trace as
 // one segment per gadget. Everything except the secret byte is identical
 // across members: same boot snapshot, same call sequence, same addresses
 // (the allocators are deterministic), so any trace difference is caused by
 // the secret.
-func (h *Harness) relsecMember(kind schemes.Kind, secret byte, targets []*kimage.Func, capacity int) (relsecRun, error) {
-	viewAll, _ := h.pocViews()
-	k, err := h.newMachine(kind, viewAll)
+func relsecMember(boot relsecBoot, secret byte, targets []*kimage.Func, capacity int) (relsecRun, error) {
+	k, err := boot()
 	if err != nil {
 		return relsecRun{}, err
 	}
@@ -184,8 +211,7 @@ func (h *Harness) relsecMember(kind schemes.Kind, secret byte, targets []*kimage
 }
 
 // relsecDrive performs the member's call sequence on an already-configured
-// machine (the repair verifier reuses it under a selective-fence policy the
-// scheme registry doesn't know about).
+// machine.
 func relsecDrive(k *kernel.Kernel, secret byte, targets []*kimage.Func, capacity int) (relsecRun, error) {
 	var run relsecRun
 	victim, err := k.CreateProcess("victim")
@@ -238,28 +264,56 @@ func relsecDrive(k *kernel.Kernel, secret byte, targets []*kimage.Func, capacity
 	return run, nil
 }
 
-// relsecPair runs both members of a secret pair over targets and compares
-// their traces gadget by gadget.
-func (h *Harness) relsecPair(kind schemes.Kind, secretA, secretB byte, targets []*kimage.Func) (RelSecCell, error) {
-	cell := RelSecCell{Scheme: kind, Gadgets: len(targets)}
-	a, err := h.relsecMember(kind, secretA, targets, relsecCellCap)
-	if err != nil {
-		return cell, fmt.Errorf("member A: %w", err)
-	}
-	b, err := h.relsecMember(kind, secretB, targets, relsecCellCap)
-	if err != nil {
-		return cell, fmt.Errorf("member B: %w", err)
+// relsecPair is the oracle's only pair runner: it runs both members of the
+// secret pair (secretA, secretB) over targets, each on a machine from boot,
+// and compares their traces gadget by gadget. The cell counts member A's
+// events and the gadgets whose traces differ; the runs are returned for the
+// witness, which inspects the divergent observations themselves.
+func relsecPair(boot relsecBoot, secretA, secretB byte, targets []*kimage.Func, capacity int) (RelSecCell, [2]relsecRun, error) {
+	cell := RelSecCell{Gadgets: len(targets)}
+	var runs [2]relsecRun
+	for i, secret := range [2]byte{secretA, secretB} {
+		var err error
+		if runs[i], err = relsecMember(boot, secret, targets, capacity); err != nil {
+			return cell, runs, fmt.Errorf("member %c: %w", "AB"[i], err)
+		}
 	}
 	for i, f := range targets {
-		cell.Events += a.marks[i].N
-		if a.marks[i] != b.marks[i] {
+		cell.Events += runs[0].marks[i].N
+		if runs[0].marks[i] != runs[1].marks[i] {
 			cell.Diverged++
 			if cell.FirstDiv == "" {
 				cell.FirstDiv = f.Name
 			}
 		}
 	}
-	return cell, nil
+	return cell, runs, nil
+}
+
+// relsecGrid runs relsecPair over the driveable census, split into
+// relsecShards cells per arm. Cell a*shards+s is CellSpec{exp, arms[a],
+// "shard=s"}, and its secret pair derives from that label's seed, so a
+// caller reusing RelSec's labels reuses its secrets. boot(a) builds arm a's
+// members.
+func (h *Harness) relsecGrid(exp string, arms []string, boot func(arm int) relsecBoot) ([]RelSecCell, []error) {
+	targets := relsecTargets(h.Img)
+	shards := min(relsecShards, len(targets))
+	var specs []CellSpec
+	for _, arm := range arms {
+		for s := 0; s < shards; s++ {
+			specs = append(specs, CellSpec{exp, arm, fmt.Sprintf("shard=%d", s)})
+		}
+	}
+	return runGrid(h, specs, func(_ context.Context, i int, spec CellSpec) (RelSecCell, error) {
+		s := i % shards
+		lo, hi := s*len(targets)/shards, (s+1)*len(targets)/shards
+		sA, sB := relsecSecrets(spec.seed(h.Opt.Seed))
+		cell, _, err := relsecPair(boot(i/shards), sA, sB, targets[lo:hi], relsecCellCap)
+		if err != nil {
+			err = fmt.Errorf("%s: %w", spec, err)
+		}
+		return cell, err
+	})
 }
 
 // relsecSecrets derives a cell's secret pair from its seed: a random byte
@@ -275,41 +329,20 @@ func relsecSecrets(seed int64) (byte, byte) {
 // witness for the insecure baseline and the repair loop (both sequential,
 // both seeded from the same root, so the whole report replays at any -jobs).
 func (h *Harness) RelSec() (*RelSecReport, error) {
-	targets := relsecTargets(h.Img)
-	if len(targets) == 0 {
+	if len(relsecTargets(h.Img)) == 0 {
 		return nil, fmt.Errorf("relsec: no driveable gadgets in census")
 	}
-	shards := relsecShards
-	if shards > len(targets) {
-		shards = len(targets)
+	arms := make([]string, len(RelSecSchemes))
+	for i, kind := range RelSecSchemes {
+		arms[i] = kind.String()
 	}
-	type cellID struct {
-		kind  schemes.Kind
-		shard int
-	}
-	var ids []cellID
-	var specs []CellSpec
-	for _, kind := range RelSecSchemes {
-		for s := 0; s < shards; s++ {
-			ids = append(ids, cellID{kind, s})
-			specs = append(specs, CellSpec{"relsec", kind.String(), fmt.Sprintf("shard=%d", s)})
-		}
-	}
-	cells, errs := runGrid(h, specs, func(_ context.Context, i int, spec CellSpec) (RelSecCell, error) {
-		id := ids[i]
-		lo := id.shard * len(targets) / shards
-		hi := (id.shard + 1) * len(targets) / shards
-		sA, sB := relsecSecrets(spec.seed(h.Opt.Seed))
-		cell, err := h.relsecPair(id.kind, sA, sB, targets[lo:hi])
-		cell.Shard = id.shard
-		if err != nil {
-			cell.Err = fmt.Sprintf("relsec/%v/shard=%d: %v", id.kind, id.shard, err)
-		}
-		return cell, nil
+	cells, errs := h.relsecGrid("relsec", arms, func(arm int) relsecBoot {
+		return h.schemeBoot(RelSecSchemes[arm])
 	})
+	shards := len(cells) / len(arms)
 	for i := range cells {
-		if errs[i] != nil && cells[i].Err == "" {
-			cells[i].Scheme, cells[i].Shard = ids[i].kind, ids[i].shard
+		cells[i].Scheme, cells[i].Shard = RelSecSchemes[i/shards], i%shards
+		if errs[i] != nil {
 			cells[i].Err = errs[i].Error()
 		}
 	}
@@ -333,15 +366,13 @@ func (h *Harness) RelSec() (*RelSecReport, error) {
 func (h *Harness) relsecWitness(seed int64) (*RelSecWitness, error) {
 	gadget := h.Img.MustFunc("xusb_ioctl_gadget")
 	targets := []*kimage.Func{gadget}
+	boot := h.schemeBoot(schemes.Unsafe)
 	sA, sB := relsecSecrets(seed)
-	a, err := h.relsecMember(schemes.Unsafe, sA, targets, relsecWitnessCap)
+	_, runs, err := relsecPair(boot, sA, sB, targets, relsecWitnessCap)
 	if err != nil {
-		return nil, fmt.Errorf("member A: %w", err)
+		return nil, err
 	}
-	b, err := h.relsecMember(schemes.Unsafe, sB, targets, relsecWitnessCap)
-	if err != nil {
-		return nil, fmt.Errorf("member B: %w", err)
-	}
+	a, b := runs[0], runs[1]
 	w := &RelSecWitness{
 		Gadget: gadget.Name, SecretA: sA, SecretB: sB,
 		LenA: a.rec.Len(), LenB: b.rec.Len(), ProbeBase: a.frBase,
@@ -354,17 +385,12 @@ func (h *Harness) relsecWitness(seed int64) (*RelSecWitness, error) {
 
 	// Minimization: flip one secret bit at a time. A diverging single-bit
 	// pair proves the trace determines that bit.
-	base := sA
 	for bit := 0; bit < 8; bit++ {
-		m0, err := h.relsecMember(schemes.Unsafe, base, targets, 1)
+		cell, _, err := relsecPair(boot, sA, sA^(1<<bit), targets, 1)
 		if err != nil {
-			return nil, fmt.Errorf("bit %d member: %w", bit, err)
+			return nil, fmt.Errorf("bit %d %w", bit, err)
 		}
-		m1, err := h.relsecMember(schemes.Unsafe, base^(1<<bit), targets, 1)
-		if err != nil {
-			return nil, fmt.Errorf("bit %d member: %w", bit, err)
-		}
-		if m0.marks[0] != m1.marks[0] {
+		if cell.Diverged > 0 {
 			w.LeakedBits |= 1 << bit
 		}
 	}
@@ -456,11 +482,11 @@ func (h *Harness) relsecRepair() (*RelSecRepair, error) {
 		}
 		rep.TotalSites += step.Sites
 		if relsecTableOff(f) != 0 {
-			diverged, err := h.fencedPairDiverged([]*kimage.Func{f}, ranges, CellSeed(scan.seed, "verify", f.Name))
+			equal, err := h.fencedPairEqual(f, ranges, CellSeed(scan.seed, "verify", f.Name))
 			if err != nil {
-				return rep, fmt.Errorf("verify %s %w", f.Name, err)
+				return rep, err
 			}
-			step.Checked, step.TraceEqual = true, !diverged[0]
+			step.Checked, step.TraceEqual = true, equal
 		}
 		rep.Steps = append(rep.Steps, step)
 	}
@@ -476,26 +502,18 @@ func (h *Harness) relsecRepair() (*RelSecRepair, error) {
 		}
 		rep.FinalRecheck++
 		f := img.MustFunc(s.Func)
-		diverged, err := h.fencedPairDiverged([]*kimage.Func{f}, scan.ranges, CellSeed(scan.seed, "final", f.Name))
+		equal, err := h.fencedPairEqual(f, scan.ranges, CellSeed(scan.seed, "final", f.Name))
 		if err != nil {
-			return rep, fmt.Errorf("verify %s %w", f.Name, err)
+			return rep, err
 		}
-		if !diverged[0] {
+		if equal {
 			rep.FinalEqual++
 		}
 	}
 
-	var err error
-	if rep.UnsafeCycles, err = h.relsecCycles(nil, false); err != nil {
-		return rep, err
-	}
-	if rep.SelectiveCycles, err = h.relsecCycles(scan.ranges, false); err != nil {
-		return rep, err
-	}
-	if rep.BlanketCycles, err = h.relsecCycles(nil, true); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	p := h.relsecPrices()
+	rep.UnsafeCycles, rep.SelectiveCycles, rep.BlanketCycles = p.unsafe, p.repair, p.blanket
+	return rep, p.err
 }
 
 // insertRange keeps the hardened ranges sorted by Start (the selective
@@ -508,29 +526,40 @@ func insertRange(rs []schemes.VARange, r schemes.VARange) []schemes.VARange {
 	return rs
 }
 
-// fencedPairDiverged drives targets on both members of the secret pair
-// drawn from seed, each a fresh machine under SelectiveFencePolicy over
-// ranges, and reports per target whether the members' traces differ.
-func (h *Harness) fencedPairDiverged(targets []*kimage.Func, ranges []schemes.VARange, seed int64) ([]bool, error) {
+// fencedPairEqual drives gadget f on both members of the secret pair drawn
+// from seed under SelectiveFencePolicy over ranges, and reports whether the
+// members' traces are equal.
+func (h *Harness) fencedPairEqual(f *kimage.Func, ranges []schemes.VARange, seed int64) (bool, error) {
 	sA, sB := relsecSecrets(seed)
-	var runs [2]relsecRun
-	for i, secret := range []byte{sA, sB} {
-		k, err := h.BootMachine(kernel.DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("member %c: %w", "AB"[i], err)
-		}
-		k.Core.Policy = &schemes.SelectiveFencePolicy{Ranges: ranges}
-		runs[i], err = relsecDrive(k, secret, targets, relsecCellCap)
-		k.Release()
-		if err != nil {
-			return nil, fmt.Errorf("member %c: %w", "AB"[i], err)
-		}
+	cell, _, err := relsecPair(h.fenceBoot(ranges), sA, sB, []*kimage.Func{f}, relsecCellCap)
+	if err != nil {
+		return false, fmt.Errorf("verify %s %w", f.Name, err)
 	}
-	diverged := make([]bool, len(targets))
-	for j := range targets {
-		diverged[j] = runs[0].marks[j] != runs[1].marks[j]
-	}
-	return diverged, nil
+	return cell.Diverged == 0, nil
+}
+
+// relsecPrices is the memoized LEBench pricing -exp relsec and -exp
+// staticflow both report: unprotected, under the repair loop's fences, and
+// under blanket FENCE.
+type relsecPrices struct {
+	once                    sync.Once
+	unsafe, repair, blanket float64
+	err                     error
+}
+
+// relsecPrices prices the three policies once per harness.
+func (h *Harness) relsecPrices() *relsecPrices {
+	p := &h.prices
+	p.once.Do(func() {
+		if p.unsafe, p.err = h.relsecCycles(nil, false); p.err != nil {
+			return
+		}
+		if p.repair, p.err = h.relsecCycles(h.repairScan().ranges, false); p.err != nil {
+			return
+		}
+		p.blanket, p.err = h.relsecCycles(nil, true)
+	})
+	return p
 }
 
 // relsecCycles prices a small LEBench slice under a repair policy: nil

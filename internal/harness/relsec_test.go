@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/kimage"
 	"repro/internal/obs"
 	"repro/internal/schemes"
@@ -94,6 +95,41 @@ func TestRelSecExperiment(t *testing.T) {
 	}
 }
 
+// TestRelSecPremiseSequential checks relative security's premise
+// (SpecRelative.v's seq_obs_secure) on every quick-scale pair: on a core
+// that runs no wrong path, both members of each of RelSec's UNSAFE secret
+// pairs (same shards, same secrets) must already be trace-equal, so the
+// divergence UNSAFE shows under speculation is the speculation's doing.
+func TestRelSecPremiseSequential(t *testing.T) {
+	h := relsecHarness()
+	sequential := func() (*kernel.Kernel, error) {
+		k, err := h.schemeBoot(schemes.Unsafe)()
+		if err == nil {
+			k.Core.Cfg.MaxTransient = 0
+		}
+		return k, err
+	}
+	cells, errs := h.relsecGrid("relsec", []string{schemes.Unsafe.String()},
+		func(int) relsecBoot { return sequential })
+	pairs := 0
+	for i, c := range cells {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if c.Events == 0 {
+			t.Errorf("shard %d: member A recorded no events, so the premise holds vacuously", i)
+		}
+		if c.Diverged != 0 {
+			t.Errorf("shard %d: %d/%d pairs differ with no speculation (first: %s)",
+				i, c.Diverged, c.Gadgets, c.FirstDiv)
+		}
+		pairs += c.Gadgets
+	}
+	if want := len(relsecTargets(h.Img)); pairs != want {
+		t.Errorf("judged %d pairs, census has %d", pairs, want)
+	}
+}
+
 // TestRelSecDeterminismAcrossJobs pins the experiment's replay guarantee:
 // the rendered report is byte-identical at any worker-pool size.
 func TestRelSecDeterminismAcrossJobs(t *testing.T) {
@@ -129,7 +165,7 @@ func TestRelSecCloneVsFreshBoot(t *testing.T) {
 		for i, f := range targets {
 			own[i] = h.Img.FuncByID(f.ID)
 		}
-		r, err := h.relsecMember(kind, secret, own, relsecCellCap)
+		r, err := relsecMember(h.schemeBoot(kind), secret, own, relsecCellCap)
 		if err != nil {
 			t.Fatalf("fresh=%v: %v", fresh, err)
 		}
@@ -159,12 +195,12 @@ func FuzzRelSecSecretPairing(f *testing.F) {
 	}
 	h := relsecHarness()
 	targets := relsecFastTargets(f, h)
-	baseline, err := h.relsecMember(schemes.Fence, 0x00, targets, relsecCellCap)
+	baseline, err := relsecMember(h.schemeBoot(schemes.Fence), 0x00, targets, relsecCellCap)
 	if err != nil {
 		f.Fatalf("baseline member: %v", err)
 	}
 	f.Fuzz(func(t *testing.T, secret byte) {
-		r, err := h.relsecMember(schemes.Fence, secret, targets, relsecCellCap)
+		r, err := relsecMember(h.schemeBoot(schemes.Fence), secret, targets, relsecCellCap)
 		if err != nil {
 			t.Fatalf("member(%#02x): %v", secret, err)
 		}

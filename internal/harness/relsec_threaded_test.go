@@ -18,14 +18,13 @@ import (
 
 func relsecEngineDrive(t *testing.T, h *Harness, kind schemes.Kind, secret byte, threaded bool, targets []*kimage.Func) relsecRun {
 	t.Helper()
-	viewAll, _ := h.pocViews()
-	k, err := h.newMachine(kind, viewAll)
+	k, err := h.schemeBoot(kind)()
 	if err != nil {
 		t.Fatalf("boot %v machine: %v", kind, err)
 	}
 	defer k.Release()
 	if !threaded {
-		k.Core.SetThreadedSource(nil)
+		k.Core.SetProgram(nil)
 	}
 	run, err := relsecDrive(k, secret, targets, relsecCellCap)
 	if err != nil {

@@ -132,20 +132,15 @@ func (h *Harness) StaticFlow() (*StaticFlowReport, error) {
 		return rep, err
 	}
 
-	// Price all three placements on the LEBench slice.
-	if rep.UnsafeCycles, err = h.relsecCycles(nil, false); err != nil {
-		return rep, err
+	// Price all three placements on the LEBench slice; the unprotected,
+	// dynamic and blanket prices are -exp relsec's.
+	p := h.relsecPrices()
+	if p.err != nil {
+		return rep, p.err
 	}
-	if rep.StaticCycles, err = h.relsecCycles(staticRanges, false); err != nil {
-		return rep, err
-	}
-	if rep.DynamicCycles, err = h.relsecCycles(scan.ranges, false); err != nil {
-		return rep, err
-	}
-	if rep.BlanketCycles, err = h.relsecCycles(nil, true); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	rep.UnsafeCycles, rep.DynamicCycles, rep.BlanketCycles = p.unsafe, p.repair, p.blanket
+	rep.StaticCycles, err = h.relsecCycles(staticRanges, false)
+	return rep, err
 }
 
 // staticflowAnalyze runs the interprocedural fixpoint with each round's
@@ -193,52 +188,23 @@ func (h *Harness) staticflowAnalyze() (*staticflow.Report, error) {
 }
 
 // staticflowVerify drives every driveable census gadget's secret pair under
-// the static selective fences, sharded on the cell engine, and records the
+// the static selective fences, on the relsec census grid, and records the
 // trace-equivalence verdict.
 func (h *Harness) staticflowVerify(rep *StaticFlowReport, ranges []schemes.VARange) error {
-	targets := relsecTargets(h.Img)
-	rep.VerifyGadgets = len(targets)
-	if len(targets) == 0 {
+	rep.VerifyGadgets = len(relsecTargets(h.Img))
+	if rep.VerifyGadgets == 0 {
 		return nil
 	}
-	shards := relsecShards
-	if shards > len(targets) {
-		shards = len(targets)
-	}
-	type verdict struct {
-		diverged int
-		firstDiv string
-	}
-	specs := make([]CellSpec, 0, shards)
-	for s := 0; s < shards; s++ {
-		specs = append(specs, CellSpec{"staticflow", "verify", fmt.Sprintf("shard=%d", s)})
-	}
-	cells, errs := runGrid(h, specs, func(_ context.Context, i int, spec CellSpec) (verdict, error) {
-		lo := i * len(targets) / shards
-		hi := (i + 1) * len(targets) / shards
-		shard := targets[lo:hi]
-		var v verdict
-		diverged, err := h.fencedPairDiverged(shard, ranges, spec.seed(h.Opt.Seed))
-		if err != nil {
-			return v, err
-		}
-		for j, d := range diverged {
-			if d {
-				v.diverged++
-				if v.firstDiv == "" {
-					v.firstDiv = shard[j].Name
-				}
-			}
-		}
-		return v, nil
+	cells, errs := h.relsecGrid("staticflow", []string{"verify"}, func(int) relsecBoot {
+		return h.fenceBoot(ranges)
 	})
-	for i := range cells {
+	for i, c := range cells {
 		if errs[i] != nil {
-			return fmt.Errorf("staticflow verify shard %d: %w", i, errs[i])
+			return errs[i]
 		}
-		rep.VerifyDiverged += cells[i].diverged
+		rep.VerifyDiverged += c.Diverged
 		if rep.VerifyFirstDiv == "" {
-			rep.VerifyFirstDiv = cells[i].firstDiv
+			rep.VerifyFirstDiv = c.FirstDiv
 		}
 	}
 	return nil

@@ -38,17 +38,6 @@ const (
 	DXor
 	DShlImm
 	DShrImm
-	// DMovZ and the *ImmZ kinds are decode-time specializations of the
-	// corresponding ALU forms for the (overwhelmingly common) encodings
-	// whose unused Rs2 is the hardwired zero: the dispatch case can skip
-	// Rs2's ready-time and taint reads because ready(R0) and taint(R0) are
-	// identically zero. DecodeInst only emits them when Rs2 == R0, so any
-	// other encoding keeps the general case with full Rs2 semantics.
-	DMovZ
-	DAddImmZ
-	DAndImmZ
-	DShlImmZ
-	DShrImmZ
 	// DMul is the Port-channel transmitter: the only ALU form the active
 	// Policy is consulted about, so it gets its own case.
 	DMul
@@ -128,45 +117,29 @@ func DecodeInst(in *Inst, pc uint64) (d DOp) {
 	case OpNop:
 		d.Kind = DNop
 	case OpALU:
-		zRs2 := in.Rs2 == R0
 		switch in.AK {
 		case AMov:
 			d.Kind = DMov
-			if zRs2 {
-				d.Kind = DMovZ
-			}
 		case AMovImm:
 			d.Kind = DMovImm
 		case AAdd:
 			d.Kind = DAdd
 		case AAddImm:
 			d.Kind = DAddImm
-			if zRs2 {
-				d.Kind = DAddImmZ
-			}
 		case ASub:
 			d.Kind = DSub
 		case AAnd:
 			d.Kind = DAnd
 		case AAndImm:
 			d.Kind = DAndImm
-			if zRs2 {
-				d.Kind = DAndImmZ
-			}
 		case AOr:
 			d.Kind = DOr
 		case AXor:
 			d.Kind = DXor
 		case AShlImm:
 			d.Kind = DShlImm
-			if zRs2 {
-				d.Kind = DShlImmZ
-			}
 		case AShrImm:
 			d.Kind = DShrImm
-			if zRs2 {
-				d.Kind = DShrImmZ
-			}
 		case AMul:
 			d.Kind = DMul
 		default:
@@ -214,9 +187,8 @@ func (d *DOp) Reencode() Inst {
 	switch d.Kind {
 	case DNop:
 		in.Op = OpNop
-	case DMov, DMovZ, DMovImm, DAdd, DAddImm, DAddImmZ, DSub, DAnd,
-		DAndImm, DAndImmZ, DOr, DXor, DShlImm, DShlImmZ, DShrImm,
-		DShrImmZ, DMul, DALUGen:
+	case DMov, DMovImm, DAdd, DAddImm, DSub, DAnd, DAndImm, DOr, DXor,
+		DShlImm, DShrImm, DMul, DALUGen:
 		in.Op = OpALU
 	case DLoad:
 		in.Op = OpLoad

@@ -45,9 +45,6 @@ type Config struct {
 	// SecureSlab selects Perspective's per-context slab allocator; false
 	// gives the baseline packing allocator (§6.1).
 	SecureSlab bool
-	// Timing enables the ISA timing runs; functional-only mode is useful
-	// in tests.
-	Timing bool
 	// MaxInstsPerSyscall caps one handler run (codegen-bug guard).
 	MaxInstsPerSyscall int
 	// TimingCopyCapWords bounds the per-syscall ISA copy/zero loop length
@@ -57,12 +54,11 @@ type Config struct {
 }
 
 // DefaultConfig returns the standard simulation setup: 32MB of memory,
-// secure slab, timing on.
+// secure slab.
 func DefaultConfig() Config {
 	return Config{
 		Frames:             8192,
 		SecureSlab:         true,
-		Timing:             true,
 		MaxInstsPerSyscall: 2_000_000,
 		TimingCopyCapWords: 4096,
 	}
@@ -157,10 +153,9 @@ func (k *Kernel) wireHardware() {
 	k.Mem = &memsim.Mem{Phys: k.Phys, Tr: &memsim.FixedTranslator{Size: k.Phys.Bytes(), AllowKernel: true}}
 	h := cache.NewDefaultHierarchy()
 	k.Core = cpu.New(cpu.DefaultConfig(), &codeSource{k: k}, k.Mem, h, predict.New())
-	// Attach the pre-decoded program source: block dispatch re-checks the
-	// image's text version at every Run entry, so text patches invalidate
-	// cleanly (see kimage/decoded.go).
-	k.Core.SetThreadedSource(k.Img.Decoded)
+	// Attach the pre-decoded program: the text is immutable after link, so
+	// the image decodes it once for every machine (see kimage/decoded.go).
+	k.Core.SetProgram(k.Img.Decoded())
 	k.Trace = ktrace.New(k.Img, func() sec.Ctx { return k.Core.Ctx() })
 	k.Core.Tracer = k.Trace
 
@@ -314,11 +309,9 @@ func (k *Kernel) switchTo(t *Task) {
 	k.Core.SetCtx(t.Ctx())
 	if prev != nil {
 		k.Stats.ContextSwitch++
-		if k.Cfg.Timing {
-			// Run the context-switch path on the core.
-			k.marshalCtx(t, ctxMarshal{src: prev.TaskVA(), dst: t.TaskVA()})
-			k.runKernelFunc(t, "sched_switch")
-		}
+		// Run the context-switch path on the core.
+		k.marshalCtx(t, ctxMarshal{src: prev.TaskVA(), dst: t.TaskVA()})
+		k.runKernelFunc(t, "sched_switch")
 	}
 }
 

@@ -32,15 +32,6 @@ func (k *Kernel) marshalCtx(t *Task, m ctxMarshal) {
 	}
 }
 
-// capWords bounds ISA copy-loop lengths (functional semantics always move
-// the full size).
-func (k *Kernel) capWords(w uint64) uint64 {
-	if k.Cfg.TimingCopyCapWords > 0 && w > k.Cfg.TimingCopyCapWords {
-		return k.Cfg.TimingCopyCapWords
-	}
-	return w
-}
-
 // clampToPage bounds a word count so an ISA copy starting at the kernel VA
 // va never walks past its page into an unrelated physical frame.
 func clampToPage(va, words uint64) uint64 {
@@ -52,7 +43,7 @@ func clampToPage(va, words uint64) uint64 {
 }
 
 // Syscall performs a system call on behalf of t: functional semantics in
-// Go, then (if configured) the timing run of the handler's ISA code.
+// Go, then the timing run of the handler's ISA code.
 func (k *Kernel) Syscall(t *Task, nr int, args ...uint64) (uint64, error) {
 	var a [6]uint64
 	copy(a[:], args)
@@ -76,9 +67,6 @@ func (k *Kernel) Syscall(t *Task, nr int, args ...uint64) (uint64, error) {
 }
 
 func (k *Kernel) timeSyscall(t *Task, nr int, m ctxMarshal, a [6]uint64) {
-	if !k.Cfg.Timing {
-		return
-	}
 	entry := k.Img.SyscallEntry(nr)
 	if entry == nil {
 		return

@@ -97,11 +97,9 @@ type Image struct {
 	starts  []uint64 // sorted function start VAs, parallel to startFn
 	startFn []*Func
 
-	// version counts text mutations (PatchInst/SetInstValid); decoded
-	// memoizes the pre-decoded program for the matching version. See
-	// decoded.go for the invalidation protocol.
-	version uint64
-	decoded decodedPtr
+	// decoded memoizes the pre-decoded program (decoded.go). The text is
+	// immutable after link, so it is built once.
+	decoded decodedOnce
 }
 
 const funcAlign = 64 // function starts are cache-line aligned

@@ -92,7 +92,15 @@ var lkNeverGen uint64
 // bump-on-switch invalidates every entry memoized under the previous
 // translator: two address spaces of one machine share one counter, so
 // without it a context switch could serve the old space's pages.
+// Re-asserting the current translator (the kernel does on every syscall)
+// keeps the table: every mapping mutation bumps the counter itself, so an
+// entry whose generation still matches is current, and only the privilege
+// mirror needs refreshing.
 func (m *Mem) SetTranslator(tr Translator, gen *uint64) {
+	if gen != nil && gen == m.trGen && tr == m.Tr {
+		m.kernOK = tr.KernelAllowed()
+		return
+	}
 	m.Tr = tr
 	if gen == nil {
 		m.lk = [lkSize]lkEntry{}

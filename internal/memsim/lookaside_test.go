@@ -105,6 +105,46 @@ func TestLookasideTranslatorSwap(t *testing.T) {
 	}
 }
 
+// TestLookasideReassert pins SetTranslator's re-assert path: re-asserting
+// the current translator keeps a warm entry serving, a mapping mutation
+// followed by a re-assert serves the new page, and the re-assert still
+// refreshes the privilege mirror.
+func TestLookasideReassert(t *testing.T) {
+	phys := NewPhys(8)
+	kpage := DirectMapBase>>PageShift + 1
+	tr := &churnTranslator{pages: map[uint64]uint64{2: PageSize, kpage: 2 * PageSize}, kern: true}
+	m := &Mem{Phys: phys}
+	m.SetTranslator(tr, &tr.gen)
+	va := uint64(2)<<PageShift + 40
+	if pa, ok := m.Resolve(va, 8); !ok || pa != PageSize+40 {
+		t.Fatalf("cold resolve: got (%#x,%v)", pa, ok)
+	}
+	m.SetTranslator(tr, &tr.gen)
+	if pa := m.ResolveFast(va, 8); pa != PageSize+40 {
+		t.Fatalf("re-assert dropped the warm entry: ResolveFast = %#x", pa)
+	}
+
+	tr.pages[2] = 5 * PageSize
+	tr.gen++
+	m.SetTranslator(tr, &tr.gen)
+	if pa, ok := m.Resolve(va, 8); !ok || pa != 5*PageSize+40 {
+		t.Fatalf("remap + re-assert: got (%#x,%v), lookaside served the old page", pa, ok)
+	}
+
+	kva := kpage<<PageShift + 8
+	if _, ok := m.Resolve(kva, 8); !ok {
+		t.Fatal("kernel-half access in kernel mode should resolve")
+	}
+	tr.kern = false
+	m.SetTranslator(tr, &tr.gen)
+	if _, ok := m.Resolve(kva, 8); ok {
+		t.Fatal("re-assert kept a stale kernel-mode mirror: kernel-half hit from user mode")
+	}
+	if err := m.VerifyLookaside(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLookasideStraddleAndPrivilege pins the two inline guards: an access
 // spanning a page boundary misses the fast path (and faults, matching
 // translateChecked), and a kernel-half hit requires kernel mode.

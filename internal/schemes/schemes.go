@@ -20,7 +20,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dsv"
 	"repro/internal/isv"
-	"repro/internal/sec"
 )
 
 // Kind enumerates the evaluated schemes.
@@ -84,8 +83,6 @@ type nop struct{}
 
 func (nop) IndirectPenalty() int    { return 0 }
 func (nop) KernelCrossPenalty() int { return 0 }
-func (nop) NoteKernelEntry(sec.Ctx) {}
-func (nop) Reset()                  {}
 
 // FencePolicy blocks every speculative load (§7: "delays all speculative
 // loads until all prior branches are resolved").
@@ -256,9 +253,6 @@ func NewPerspective(d *dsv.Dir, i *isv.Dir, variant Kind) *PerspectivePolicy {
 
 // Name implements cpu.Policy.
 func (p *PerspectivePolicy) Name() string { return p.Variant.String() }
-
-// Reset implements cpu.Policy.
-func (p *PerspectivePolicy) Reset() { p.Stats = PerspectiveStats{} }
 
 // OnTransmit implements cpu.Policy.
 func (p *PerspectivePolicy) OnTransmit(a *cpu.Access) cpu.Verdict {

@@ -199,15 +199,3 @@ func TestFactoryAndNames(t *testing.T) {
 		t.Error("IsPerspective wrong")
 	}
 }
-
-func TestPerspectiveReset(t *testing.T) {
-	p, ctx := perspectiveSetup()
-	p.OnTransmit(&cpu.Access{PC: ktext + 0x9000, VA: kdata, IsLoad: true, Ctx: ctx, Kernel: true})
-	if p.Stats == (PerspectiveStats{}) {
-		t.Fatal("no stats accumulated")
-	}
-	p.Reset()
-	if p.Stats != (PerspectiveStats{}) {
-		t.Error("Reset did not clear stats")
-	}
-}

@@ -500,7 +500,7 @@ func (fa *funcAnalysis) transfer(op *isa.DOp, st *state) {
 	switch op.Kind {
 	case isa.DMovImm:
 		st.set(op.Rd, Val{})
-	case isa.DAndImm, isa.DAndImmZ:
+	case isa.DAndImm:
 		if op.Imm >= 0 && op.Imm < 4096 {
 			// Sanitizing mask (array_index_nospec).
 			st.set(op.Rd, Val{})
@@ -515,9 +515,8 @@ func (fa *funcAnalysis) transfer(op *isa.DOp, st *state) {
 			fa.sink(s2)
 		}
 		st.set(op.Rd, joinVal(s1, s2))
-	case isa.DMov, isa.DMovZ, isa.DAdd, isa.DAddImm, isa.DAddImmZ, isa.DSub,
-		isa.DAnd, isa.DOr, isa.DXor, isa.DShlImm, isa.DShlImmZ,
-		isa.DShrImm, isa.DShrImmZ, isa.DALUGen:
+	case isa.DMov, isa.DAdd, isa.DAddImm, isa.DSub, isa.DAnd, isa.DOr,
+		isa.DXor, isa.DShlImm, isa.DShrImm, isa.DALUGen:
 		st.set(op.Rd, joinVal(st.get(op.Rs1), st.get(op.Rs2)))
 	case isa.DLoad:
 		addr := st.get(op.Rs1)
