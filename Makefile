@@ -6,7 +6,7 @@ GO ?= go
 # drops combined coverage below this.
 COVER_MIN ?= 70
 
-.PHONY: build test vet fmt race fuzzseed lint cover check bench benchsmoke benchdiff benchdiffsmoke relsecsmoke lockstepsmoke taillatsmoke staticsmoke simbenchsmoke clean
+.PHONY: build test vet fmt race fuzzseed lint cover check paperscale bench benchsmoke benchdiff benchdiffsmoke relsecsmoke lockstepsmoke taillatsmoke staticsmoke simbenchsmoke clean
 
 # Packages carrying the host-perf microbenchmarks (cache access, vmm
 # translate, cpu issue loop, kernel syscall round-trip, app drive path,
@@ -33,7 +33,7 @@ race:
 # fuzzseed replays the checked-in fuzz seed corpus as regular tests
 # (no -fuzz: that would explore; CI only replays known inputs).
 fuzzseed:
-	$(GO) test -run=Fuzz ./internal/kernel/ ./internal/cpu/ ./internal/loadgen/
+	$(GO) test -run=Fuzz ./internal/kernel/ ./internal/cpu/ ./internal/loadgen/ ./internal/memsim/
 
 # lint runs the project's own go/analysis suite (determinism, errwrap,
 # confine — see DESIGN.md §8). Exit 1 means an unannotated finding;
@@ -58,6 +58,17 @@ cover:
 # trajectory + end-to-end relative-security, tail-latency, and static-
 # verifier smokes + the benchmark module's own tests.
 check: vet fmt lint race fuzzseed lockstepsmoke benchsmoke benchdiffsmoke relsecsmoke taillatsmoke staticsmoke simbenchsmoke
+
+# paperscale regenerates paper_scale_report.txt, the paper-scale `-exp all`
+# output minus the supervisor report (its only wall-time column), and fails
+# if it differs from the committed file. It takes about 30 s on two cores,
+# most of it relsec's repair loop, so it stays out of `check` for now.
+paperscale:
+	@out=$$(mktemp) && state=$$(mktemp) && \
+		$(GO) run ./cmd/perspective-sim -exp all -scale paper -jobs 2 -state $$state > $$out; \
+		status=$$?; sed '/^=== Supervisor report ===/,$$d' $$out > paper_scale_report.txt; \
+		rm -f $$out $$state; [ $$status -eq 0 ]
+	git diff --exit-code paper_scale_report.txt
 
 # lockstepsmoke runs the bounded block-dispatch-vs-single-op differential
 # oracle at machine level: one scheme, a LEBench slice, one census gadget,

@@ -4,7 +4,7 @@
 // propagation), and confine (one table of confinement rules: speculative
 // memory reads only through the DSV/ISV-checked accessors, the L0
 // line-lookaside micro-cache only from the committed path, and the
-// resolve-lookaside epoch, state and raw-hit path only in their owners).
+// direct-map fast path's privilege mirror and raw hit only in their owners).
 // See DESIGN.md §8 for the rules and the //lint:allow escape hatch.
 //
 // Usage:

@@ -45,22 +45,22 @@ type Config struct {
 	// SecureSlab selects Perspective's per-context slab allocator; false
 	// gives the baseline packing allocator (§6.1).
 	SecureSlab bool
-	// MaxInstsPerSyscall caps one handler run (codegen-bug guard).
-	MaxInstsPerSyscall int
-	// TimingCopyCapWords bounds the per-syscall ISA copy/zero loop length
-	// so giant mmaps don't dominate simulation time; functional semantics
-	// always process full sizes.
-	TimingCopyCapWords uint64
 }
+
+// maxInstsPerSyscall caps one handler run (codegen-bug guard).
+const maxInstsPerSyscall = 2_000_000
+
+// timingCopyCapPages bounds the per-syscall ISA copy/zero loop, one
+// page-sized pass per page, so giant mmaps and forks don't dominate
+// simulation time; functional semantics always process full sizes.
+const timingCopyCapPages = 64
 
 // DefaultConfig returns the standard simulation setup: 32MB of memory,
 // secure slab.
 func DefaultConfig() Config {
 	return Config{
-		Frames:             8192,
-		SecureSlab:         true,
-		MaxInstsPerSyscall: 2_000_000,
-		TimingCopyCapWords: 4096,
+		Frames:     8192,
+		SecureSlab: true,
 	}
 }
 
@@ -299,13 +299,13 @@ func (k *Kernel) switchTo(t *Task) {
 	if k.current == t {
 		// Re-assert the hardware context: PoC code may have run the core
 		// under another ASID in between.
-		k.Mem.SetTranslator(t.AS, t.AS.TranslationEpoch())
+		k.Mem.SetTranslator(t.AS)
 		k.Core.SetCtx(t.Ctx())
 		return
 	}
 	prev := k.current
 	k.current = t
-	k.Mem.SetTranslator(t.AS, t.AS.TranslationEpoch())
+	k.Mem.SetTranslator(t.AS)
 	k.Core.SetCtx(t.Ctx())
 	if prev != nil {
 		k.Stats.ContextSwitch++
@@ -340,7 +340,7 @@ func (k *Kernel) runKernelVA(t *Task, va uint64) cpu.RunResult {
 	if f := k.Img.FuncAt(va); f != nil {
 		k.Trace.NoteEntry(t.Ctx(), f)
 	}
-	res := k.Core.Run(va, k.Cfg.MaxInstsPerSyscall)
+	res := k.Core.Run(va, maxInstsPerSyscall)
 	k.Stats.HandlerRuns++
 	if res.Fault || res.Truncated {
 		k.Stats.HandlerFaults++

@@ -203,18 +203,14 @@ func (k *Kernel) dispatch(t *Task, nr int, a [6]uint64) (uint64, ctxMarshal, err
 		if len(parentPages) > 0 {
 			// Pick one parent/child page pair for the idempotent timing
 			// copy (the lowest-VA page, so the choice is deterministic);
-			// iterate once per copied page.
+			// iterate once per copied page, up to the cap.
 			va, pfn := parentPages[0].VA, parentPages[0].PFN
 			cpfn, _ := child.AS.Lookup(va)
-			iters := uint64(len(parentPages))
-			if cap := k.Cfg.TimingCopyCapWords / 512; cap > 0 && iters > cap*8 {
-				iters = cap * 8
-			}
 			m = ctxMarshal{
 				src:   memsim.DirectMapVA(pfn * memsim.PageSize),
 				dst:   memsim.DirectMapVA(cpfn * memsim.PageSize),
 				words: 512,
-				extra: iters,
+				extra: min(uint64(len(parentPages)), timingCopyCapPages),
 			}
 		}
 		return uint64(child.PID), m, nil
@@ -445,14 +441,10 @@ func (k *Kernel) doMmap(t *Task, length uint64, populate bool) (uint64, ctxMarsh
 				firstPFN = pfn
 			}
 		}
-		iters := pages
-		if cap := k.Cfg.TimingCopyCapWords / 512; cap > 0 && iters > cap*8 {
-			iters = cap * 8
-		}
 		m = ctxMarshal{
 			dst:   memsim.DirectMapVA(firstPFN * memsim.PageSize),
 			words: 512,
-			extra: iters,
+			extra: min(pages, timingCopyCapPages),
 		}
 	}
 	return v.Start, m, nil

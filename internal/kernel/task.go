@@ -194,7 +194,7 @@ func (k *Kernel) CreateProcess(container string) (*Task, error) {
 	k.runq = append(k.runq, t)
 	if k.current == nil {
 		k.current = t
-		k.Mem.SetTranslator(t.AS, t.AS.TranslationEpoch())
+		k.Mem.SetTranslator(t.AS)
 		k.Core.SetCtx(ctx)
 	}
 	if k.OnProcessCreate != nil {

@@ -3,9 +3,9 @@
 // table names methods or fields that only the row's allowed functions may
 // name: the memsim read API on the speculation path, which must consult the
 // DSV/ISV check API first, and the two host fast paths — the L0
-// line-lookaside micro-caches (internal/cpu/l0.go) and the epoch-guarded
-// resolve lookaside (internal/memsim/lookaside.go) — which are exact only
-// while confined (DESIGN.md §8, §12).
+// line-lookaside micro-caches (internal/cpu/l0.go) and the direct-map
+// resolve fast path (memsim.Mem.ResolveFast) — which are exact only while
+// confined (DESIGN.md §8, §12).
 //
 // Names take the shape "pkg.Type.Name": pkg is the last element of the
 // import path, and Type is the method's receiver or the struct declaring the
@@ -34,7 +34,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "confine",
 	Doc: "confine the memsim read API on the speculation path, the L0 micro-cache and " +
-		"the resolve lookaside to the functions allowed to name them",
+		"the direct-map resolve fast path to the functions allowed to name them",
 	Run: func(pass *analysis.Pass) error {
 		check(pass, rules)
 		return nil
@@ -107,37 +107,24 @@ var rules = []rule{
 		allowed: []string{"cpu.Core.l0DataFast", "cpu.Core.l0DataSlow", "cpu.Core.l0Inst", "cpu.Core.l0InstInstall", "cpu.Core.SetL0Enabled"},
 		format:  "L0 micro-cache state %[2]s touched in %[3]s: the tables are private to the accessors in internal/cpu/l0.go and SetL0Enabled",
 	},
-	// Epoch. The resolve lookaside re-validates a cached translation with
-	// one compare against the machine-wide translation epoch, so the epoch is
-	// bumped exactly where the kernel mutates a translation (Vmalloc, Vfree,
-	// MapPerCPU, bumpEpoch) and escapes only through the two pointer
-	// accessors memsim snapshots at install time (EpochPtr,
-	// TranslationEpoch). A write anywhere else either stalls the epoch, so
-	// stale entries survive a remap, or bumps it spuriously. Kmaps.Clone
-	// never names the field: a clone is a fresh machine with its own
-	// generation.
+	// Privilege mirror. ResolveFast's inline privilege check reads kernOK
+	// in place of Translator.KernelAllowed, so only the fast path and the
+	// two calls that keep it current (SetTranslator, SetKernelMode) touch
+	// it. A stale true would let user code read the direct map.
 	{
-		names:   []string{"vmm.Kmaps.epoch"},
-		allowed: []string{"vmm.Kmaps.EpochPtr", "vmm.Kmaps.Vmalloc", "vmm.Kmaps.Vfree", "vmm.Kmaps.MapPerCPU", "vmm.AddrSpace.bumpEpoch", "vmm.AddrSpace.TranslationEpoch"},
-		format:  "%[1]s touched in %[3]s: the translation generation is bumped only by the vmm mutators and read only through EpochPtr/TranslationEpoch; a stray access desynchronizes every installed lookaside",
+		names:   []string{"memsim.Mem.kernOK"},
+		allowed: []string{"memsim.Mem.ResolveFast", "memsim.Mem.SetTranslator", "memsim.Mem.SetKernelMode"},
+		format:  "privilege mirror %[2]s touched in %[3]s: Mem.kernOK is private to ResolveFast, SetTranslator and SetKernelMode",
 	},
-	// Lookaside state. Only the accessors in lookaside.go, and the
-	// VerifyLookaside oracle, touch the table; new code populating or
-	// consulting it ad hoc would skip the generation and privilege checks
-	// they encode.
-	{
-		names:   []string{"memsim.Mem.lk", "memsim.Mem.trGen", "memsim.Mem.kernOK"},
-		allowed: []string{"memsim.Mem.ResolveFast", "memsim.Mem.lkInstall", "memsim.Mem.SetTranslator", "memsim.Mem.SetKernelMode", "memsim.Mem.VerifyLookaside"},
-		format:  "lookaside state %[2]s touched in %[3]s: the Mem.lk/trGen/kernOK surface is private to the blessed accessors in internal/memsim/lookaside.go",
-	},
-	// Raw lookaside hit. Only the two translation front doors pair the raw
-	// hit with the checked-walk fallback and lkInstall on a miss: Resolve,
-	// and runThreaded's inline fast path. Any other caller silently loses
-	// translations.
+	// Raw fast-path hit. ResolveMiss means "ask the translator", not
+	// "fault", so only the two translation front doors, which fall back to
+	// the checked walk on a miss, may call ResolveFast: Resolve, and
+	// runThreaded's inline fast path. Any other caller silently loses every
+	// user, vmalloc and per-cpu translation.
 	{
 		names:   []string{"memsim.Mem.ResolveFast"},
 		allowed: []string{"memsim.Mem.Resolve", "cpu.Core.runThreaded"},
-		format:  "%[1]s called in %[3]s outside the translation front doors: a raw lookaside hit without the checked-walk miss fallback silently loses translations; go through Mem.Resolve",
+		format:  "%[1]s called in %[3]s outside the translation front doors: a raw fast-path answer without the checked-walk miss fallback silently loses translations; go through Mem.Resolve",
 	},
 }
 

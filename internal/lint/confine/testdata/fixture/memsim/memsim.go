@@ -14,9 +14,7 @@ func (p *Phys) Contains(pa uint64) bool       { return pa < uint64(len(p.b)) }
 type Mem struct {
 	Phys   *Phys
 	tr     Translator
-	trGen  *uint64
 	kernOK bool
-	lk     [64]lkEntry
 }
 
 func (m *Mem) Load(va uint64, size uint8) (uint64, bool) { return m.Phys.Read64(va), true }

@@ -294,6 +294,11 @@ func DirectMapPA(va, size uint64) (pa uint64, ok bool) {
 // Translator maps virtual to physical addresses for one execution context.
 // The kernel package implements this with real (simulated) page tables for
 // the user half and the fixed kernel windows for the kernel half.
+//
+// Every Translator keeps the direct-map contract: the direct map is
+// DirectMapPA over all of the Mem's Phys, so each va it places inside Phys
+// translates to va - DirectMapBase, whatever else the translator maps.
+// Mem.ResolveFast answers those addresses without asking.
 type Translator interface {
 	// Translate returns the physical address backing va, with ok=false for
 	// unmapped addresses (a page fault architecturally; a squashed access
@@ -312,13 +317,29 @@ type Mem struct {
 	Phys *Phys
 	Tr   Translator
 
-	// Resolve lookaside (lookaside.go): trGen points at the active
-	// translator's generation counter (vmm.Kmaps.Epoch via SetTranslator),
-	// kernOK mirrors KernelAllowed for the inline privilege check, lk is
-	// the memoized page table.
-	trGen  *uint64
+	// kernOK mirrors Tr.KernelAllowed for ResolveFast's inline privilege
+	// check: a stale true would let user code read the direct map. A Mem
+	// built with Tr but no SetTranslator starts false, which only sends its
+	// direct-map accesses down the slow path.
 	kernOK bool
-	lk     [lkSize]lkEntry
+}
+
+// ResolveMiss is ResolveFast's "consult the slow path" sentinel. It can
+// never collide with a real resolution: physical addresses are bounded by
+// Phys.Contains.
+const ResolveMiss = ^uint64(0)
+
+// ResolveFast is the inlinable direct-map fast path (DESIGN.md §12): a
+// kernel-mode, in-page access to the direct map resolves to va -
+// DirectMapBase, which the Translator contract makes translateChecked's
+// answer too. Anything else returns ResolveMiss, meaning "call Resolve",
+// not "fault": only the slow path can fault.
+func (m *Mem) ResolveFast(va uint64, size uint8) uint64 {
+	pa := va - DirectMapBase
+	if va >= DirectMapBase && m.kernOK && m.Phys.Contains(pa) && PageBase(va) == PageBase(va+uint64(size)-1) {
+		return pa
+	}
+	return ResolveMiss
 }
 
 // Resolve translates va for an access of the given size, applying the
@@ -329,12 +350,20 @@ func (m *Mem) Resolve(va uint64, size uint8) (pa uint64, ok bool) {
 	if pa = m.ResolveFast(va, size); pa != ResolveMiss {
 		return pa, true
 	}
-	pa, ok = m.translateChecked(va, uint64(size))
-	if ok {
-		m.lkInstall(va, pa)
-	}
-	return pa, ok
+	return m.translateChecked(va, uint64(size))
 }
+
+// SetTranslator switches the active translator and refreshes the privilege
+// mirror. Nothing is memoized per translator, so a swap invalidates nothing.
+func (m *Mem) SetTranslator(tr Translator) {
+	m.Tr = tr
+	m.kernOK = tr.KernelAllowed()
+}
+
+// SetKernelMode mirrors the translator's KernelAllowed state for the
+// inline privilege check. The kernel calls it at every simulated kernel
+// entry and exit, beside the AddrSpace.InKernel flip it mirrors.
+func (m *Mem) SetKernelMode(on bool) { m.kernOK = on }
 
 // Load reads size (1 or 8) bytes at va. ok=false means the access faults;
 // the core squashes (transient) or raises (architectural).

@@ -105,7 +105,6 @@ func (t *tlb) flush() {
 // argument local.
 func (as *AddrSpace) FlushTLB() {
 	as.tlb.flush()
-	as.bumpEpoch()
 }
 
 // TLBStats reports the address space's translation-cache counters.

@@ -26,6 +26,8 @@ const ptesPerPage = memsim.PageSize / 8
 
 // Kmaps holds the kernel-half mappings shared by all address spaces.
 type Kmaps struct {
+	// PhysBytes sizes the direct map. It must be the machine's
+	// Phys.Bytes(): memsim.Translator's direct-map contract.
 	PhysBytes uint64
 	vmalloc   map[uint64]uint64 // page VA -> pfn
 	perCPU    map[uint64]uint64
@@ -34,18 +36,7 @@ type Kmaps struct {
 	// tlb memoizes vmalloc and per-cpu translations so the per-access map
 	// probes leave the hot path; Vmalloc/Vfree/MapPerCPU keep it coherent.
 	tlb tlb
-
-	// epoch is the machine-wide translation generation backing the memsim
-	// resolve lookaside (memsim/lookaside.go): every mutation that can
-	// change any address space's translation function on this machine —
-	// kernel-half remaps here, user-half remaps and flushes in AddrSpace —
-	// bumps it, invalidating all memoized resolutions at once. Host-side
-	// only: no simulated state reads it.
-	epoch uint64
 }
-
-// EpochPtr exposes the translation generation for Mem.SetTranslator.
-func (k *Kmaps) EpochPtr() *uint64 { return &k.epoch }
 
 // NewKmaps creates the shared kernel mappings for a physical memory of the
 // given size.
@@ -82,7 +73,6 @@ func (k *Kmaps) Clone() *Kmaps {
 // area, returning the base VA. Guard gaps of one page separate allocations,
 // as in Linux.
 func (k *Kmaps) Vmalloc(pfns []uint64) uint64 {
-	k.epoch++
 	base := k.vmCursor
 	for i, pfn := range pfns {
 		va := base + uint64(i)*memsim.PageSize
@@ -96,7 +86,6 @@ func (k *Kmaps) Vmalloc(pfns []uint64) uint64 {
 // Vfree removes a vmalloc mapping of n pages at base, returning the backing
 // frames.
 func (k *Kmaps) Vfree(base uint64, n int) []uint64 {
-	k.epoch++
 	pfns := make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
 		va := base + uint64(i)*memsim.PageSize
@@ -111,7 +100,6 @@ func (k *Kmaps) Vfree(base uint64, n int) []uint64 {
 
 // MapPerCPU installs a per-cpu page.
 func (k *Kmaps) MapPerCPU(va, pfn uint64) {
-	k.epoch++
 	k.perCPU[va&^0xfff] = pfn
 	k.tlb.insert(va>>memsim.PageShift, pfn)
 }
@@ -224,30 +212,11 @@ func (as *AddrSpace) setPTE(tablePFN, idx, val uint64) {
 	as.phys.Write64(tablePFN*memsim.PageSize+idx*8, val)
 }
 
-// bumpEpoch advances the machine-wide translation generation (nil-safe for
-// the bare test AddrSpaces built without kernel mappings).
-func (as *AddrSpace) bumpEpoch() {
-	if as.km != nil {
-		as.km.epoch++
-	}
-}
-
-// TranslationEpoch exposes the shared generation counter for
-// Mem.SetTranslator (nil when the space has no kernel mappings, which
-// disables the resolve lookaside).
-func (as *AddrSpace) TranslationEpoch() *uint64 {
-	if as.km == nil {
-		return nil
-	}
-	return &as.km.epoch
-}
-
 // MapPage installs va -> pfn, building intermediate tables as needed.
 func (as *AddrSpace) MapPage(va, pfn uint64) error {
 	if !memsim.IsUser(va) {
 		return fmt.Errorf("vmm: MapPage outside user half: %#x", va)
 	}
-	as.bumpEpoch()
 	table := as.rootPFN
 	for level := 3; level > 0; level-- {
 		idx := ptIndex(va, level)
@@ -287,7 +256,6 @@ func (as *AddrSpace) UnmapPage(va uint64) (pfn uint64, ok bool) {
 	}
 	as.setPTE(table, idx, 0)
 	as.tlb.invalidate(va >> memsim.PageShift)
-	as.bumpEpoch()
 	return e >> 12, true
 }
 
@@ -437,5 +405,4 @@ func (as *AddrSpace) ReleasePageTables() {
 	}
 	as.ptPages = nil
 	as.tlb.flush()
-	as.bumpEpoch()
 }
